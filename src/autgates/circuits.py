@@ -1,82 +1,80 @@
 """Clifford circuits, their symplectic matrices and exact Pauli conjugation.
 
-Sign conventions (fixed once, everything else is derived from them):
-
-  H X H = Z     H Y H = -Y     S X Sd = Y     S Y Sd = -X
-  SQRTX Z SQRTXd = -Y          GAMMA = H Sd   (X -> Y -> Z -> X)
-
-Single-qubit conjugation acts on (phase, a, b, c) := (phase, x, z, x^z):
-
-  H:      phase += c - a - b,  (x, z) <- (b, a)
-  S:      phase += a,          (x, z) <- (a, c)
-  SDG:    phase -= a,          (x, z) <- (a, c)
-  SQRTX:  phase -= b,          (x, z) <- (c, b)
-  GAMMA:  phase += c - b,      (x, z) <- (c, a)
-  GAMMADG:phase += c - a,      (x, z) <- (b, c)
-
-Two-qubit gates are defined by their images of X0, X1, Z0, Z1 (all with +
-sign for SWAP/CNOT/CZ/CXX) and extended multiplicatively; the tables are
-checked against a dense 4x4 unitary conjugation oracle in the test suite.
+Every gate is defined once, by a row of GATES: its signed images of X_q and
+Z_q, its inverse word and its QASM body.  Conjugation, symplectic matrices,
+inverses and QASM are all derived from that table, and the table is checked
+against a dense unitary conjugation oracle in the test suite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ParseError
-from .gf2 import asbits
 from .pauli import PhasedPauli
 
-ONE_QUBIT_GATES = ("H", "S", "SDG", "SQRTX", "GAMMA", "GAMMADG", "X", "Y", "Z", "I")
-TWO_QUBIT_GATES = ("SWAP", "CNOT", "CZ", "CXX")
-TWO_QUBIT_ENTANGLERS = ("CNOT", "CZ", "CXX")
 
-# images of the local generators X0, X1, Z0, Z1 as (phase, x2, z2)
-_TWO_QUBIT_IMAGES: dict[str, list[tuple[int, tuple[int, int], tuple[int, int]]]] = {
-    "SWAP": [
-        (0, (0, 1), (0, 0)),  # X0 -> X1
-        (0, (1, 0), (0, 0)),  # X1 -> X0
-        (0, (0, 0), (0, 1)),  # Z0 -> Z1
-        (0, (0, 0), (1, 0)),  # Z1 -> Z0
-    ],
-    "CNOT": [
-        (0, (1, 1), (0, 0)),  # X0 -> X0 X1
-        (0, (0, 1), (0, 0)),  # X1 -> X1
-        (0, (0, 0), (1, 0)),  # Z0 -> Z0
-        (0, (0, 0), (1, 1)),  # Z1 -> Z0 Z1
-    ],
-    "CZ": [
-        (0, (1, 0), (0, 1)),  # X0 -> X0 Z1
-        (0, (0, 1), (1, 0)),  # X1 -> Z0 X1
-        (0, (0, 0), (1, 0)),
-        (0, (0, 0), (0, 1)),
-    ],
-    "CXX": [
-        (0, (1, 0), (0, 0)),
-        (0, (0, 1), (0, 0)),
-        (0, (0, 1), (1, 0)),  # Z0 -> Z0 X1
-        (0, (1, 0), (0, 1)),  # Z1 -> X0 Z1
-    ],
+class GateDef(NamedTuple):
+    images: tuple[str, ...]  # signed images of X_0 (X_1) Z_0 (Z_1)
+    inverse: tuple[str, ...]  # gate names applied in order on the same qubits
+    qasm: str  # '; '-separated statements on {0} (and {1})
+
+
+_TABLE = {
+    "H": ("Z X", "H", "h {0}"),
+    "S": ("Y Z", "SDG", "s {0}"),
+    "SDG": ("-Y Z", "S", "sdg {0}"),
+    "SQRTX": ("X -Y", "SQRTX X", "h {0}; s {0}; h {0}"),  # SQRTX**3 = SQRTX X
+    "GAMMA": ("Y X", "GAMMADG", "sdg {0}; h {0}"),  # H Sdg: X -> Y -> Z -> X
+    "GAMMADG": ("Z Y", "GAMMA", "h {0}; s {0}"),
+    "X": ("X -Z", "X", "x {0}"),
+    "Y": ("-X -Z", "Y", "y {0}"),
+    "Z": ("-X Z", "Z", "z {0}"),
+    "I": ("X Z", "", "id {0}"),
+    "SWAP": ("IX XI IZ ZI", "SWAP", "swap {0}, {1}"),
+    "CNOT": ("XX IX ZI ZZ", "CNOT", "cx {0}, {1}"),
+    "CZ": ("XZ ZX ZI IZ", "CZ", "cz {0}, {1}"),
+    "CXX": ("XI IX ZX XZ", "CXX", "h {0}; h {1}; cz {0}, {1}; h {0}; h {1}"),
+}
+GATES = {
+    name: GateDef(tuple(images.split()), tuple(inverse.split()), qasm)
+    for name, (images, inverse, qasm) in _TABLE.items()
 }
 
-_GATE_INVERSE = {
-    "H": ("H",),
-    "S": ("SDG",),
-    "SDG": ("S",),
-    "SQRTX": ("SQRTX", "X"),  # SQRTX**3 = SQRTX * X exactly
-    "GAMMA": ("GAMMADG",),
-    "GAMMADG": ("GAMMA",),
-    "X": ("X",),
-    "Y": ("Y",),
-    "Z": ("Z",),
-    "I": (),
-    "SWAP": ("SWAP",),
-    "CNOT": ("CNOT",),
-    "CZ": ("CZ",),
-    "CXX": ("CXX",),
-}
+ONE_QUBIT_GATES = tuple(name for name, g in GATES.items() if len(g.images) == 2)
+TWO_QUBIT_GATES = tuple(name for name, g in GATES.items() if len(g.images) == 4)
+# two-qubit gates that map some single-qubit Pauli to a two-qubit one
+TWO_QUBIT_ENTANGLERS = tuple(
+    name
+    for name in TWO_QUBIT_GATES
+    if any("I" not in image for image in GATES[name].images)
+)
+
+
+@cache
+def _lookup(name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Phase increments and output codes of a gate on its 4^m local inputs.
+
+    A qubit holding X^x Z^z has code x + 2z.  The local input with codes
+    c_0 (and c_1) has index c_0 (+ 4 c_1); its image is the product of the
+    images of X_0^x0 (X_1^x1) Z_0^z0 (Z_1^z1), in that order.
+    """
+    images = [PhasedPauli.from_string(s) for s in GATES[name].images]
+    m = len(images) // 2
+    inc = np.zeros(4**m, dtype=np.int64)
+    outs = np.zeros((m, 4**m), dtype=np.uint8)
+    for idx in range(4**m):
+        image = PhasedPauli.identity(m)
+        for j, factor in enumerate(images):
+            if idx >> (2 * (j % m) + j // m) & 1:
+                image = image.multiply(factor)
+        inc[idx] = image.phase
+        outs[:, idx] = image.x + 2 * image.z
+    return inc, outs
 
 
 @dataclass(frozen=True)
@@ -85,115 +83,15 @@ class Gate:
     qubits: tuple[int, ...]
 
     def __post_init__(self):
-        if self.name in ONE_QUBIT_GATES:
-            if len(self.qubits) != 1:
-                raise ParseError(f"{self.name} takes one qubit, got {self.qubits}")
-        elif self.name in TWO_QUBIT_GATES:
-            if len(self.qubits) != 2 or self.qubits[0] == self.qubits[1]:
-                raise ParseError(f"{self.name} takes two distinct qubits, got {self.qubits}")
-        else:
+        if self.name not in GATES:
             raise ParseError(f"unknown gate {self.name!r}")
+        arity = len(GATES[self.name].images) // 2
+        if len(self.qubits) != arity or len(set(self.qubits)) != arity:
+            takes = "one qubit" if arity == 1 else "two distinct qubits"
+            raise ParseError(f"{self.name} takes {takes}, got {self.qubits}")
 
     def __str__(self) -> str:
         return " ".join([self.name, *map(str, self.qubits)])
-
-
-def _conj_one(gate: str, p: PhasedPauli, q: int) -> PhasedPauli:
-    a = int(p.x[q])
-    b = int(p.z[q])
-    c = a ^ b
-    phase = p.phase
-    x = np.array(p.x)
-    z = np.array(p.z)
-    if gate == "H":
-        phase += c - a - b
-        x[q], z[q] = b, a
-    elif gate == "S":
-        phase += a
-        x[q], z[q] = a, c
-    elif gate == "SDG":
-        phase -= a
-        x[q], z[q] = a, c
-    elif gate == "SQRTX":
-        phase -= b
-        x[q], z[q] = c, b
-    elif gate == "GAMMA":
-        phase += c - b
-        x[q], z[q] = c, a
-    elif gate == "GAMMADG":
-        phase += c - a
-        x[q], z[q] = b, c
-    elif gate == "X":
-        phase += 2 * b
-    elif gate == "Y":
-        phase += 2 * c
-    elif gate == "Z":
-        phase += 2 * a
-    elif gate == "I":
-        pass
-    else:  # pragma: no cover
-        raise ParseError(f"unknown gate {gate!r}")
-    return PhasedPauli(phase, x, z)
-
-
-def _conj_two(gate: str, p: PhasedPauli, q0: int, q1: int) -> PhasedPauli:
-    images = _TWO_QUBIT_IMAGES[gate]
-    local = PhasedPauli.identity(2)
-    # local factor X0^x0 X1^x1 Z0^z0 Z1^z1, conjugated term by term
-    sel = (p.x[q0], p.x[q1], p.z[q0], p.z[q1])
-    for present, (ph, xi, zi) in zip(sel, images):
-        if present:
-            local = local.multiply(PhasedPauli(ph, xi, zi))
-    x = np.array(p.x)
-    z = np.array(p.z)
-    x[[q0, q1]] = local.x
-    z[[q0, q1]] = local.z
-    return PhasedPauli(p.phase + local.phase, x, z)
-
-
-def conjugate_gate(gate: Gate, p: PhasedPauli) -> PhasedPauli:
-    """Image U p Udag for one gate, with exact phase."""
-    if gate.name in ONE_QUBIT_GATES:
-        return _conj_one(gate.name, p, gate.qubits[0])
-    return _conj_two(gate.name, p, gate.qubits[0], gate.qubits[1])
-
-
-def _apply_symplectic_cols(u: np.ndarray, gate: Gate, n: int) -> None:
-    """Right-multiply u by the gate's symplectic matrix, in place."""
-    g = gate.name
-    if g in ("X", "Y", "Z", "I"):
-        return
-    if g in ONE_QUBIT_GATES:
-        (i,) = gate.qubits
-        xi, zi = i, n + i
-        if g == "H":
-            u[:, [xi, zi]] = u[:, [zi, xi]]
-        elif g in ("S", "SDG"):
-            u[:, zi] ^= u[:, xi]
-        elif g == "SQRTX":
-            u[:, xi] ^= u[:, zi]
-        elif g == "GAMMA":
-            old_x = u[:, xi].copy()
-            u[:, xi] ^= u[:, zi]
-            u[:, zi] = old_x
-        elif g == "GAMMADG":
-            old_x = u[:, xi].copy()
-            u[:, xi] = u[:, zi]
-            u[:, zi] ^= old_x
-        return
-    i, j = gate.qubits
-    if g == "SWAP":
-        u[:, [i, j]] = u[:, [j, i]]
-        u[:, [n + i, n + j]] = u[:, [n + j, n + i]]
-    elif g == "CNOT":
-        u[:, j] ^= u[:, i]
-        u[:, n + i] ^= u[:, n + j]
-    elif g == "CZ":
-        u[:, n + i] ^= u[:, j]
-        u[:, n + j] ^= u[:, i]
-    elif g == "CXX":
-        u[:, i] ^= u[:, n + j]
-        u[:, j] ^= u[:, n + i]
 
 
 @dataclass(frozen=True)
@@ -216,25 +114,39 @@ class CliffordCircuit:
     def __len__(self) -> int:
         return len(self.gates)
 
+    def propagate(self, phases, rows) -> tuple[np.ndarray, np.ndarray]:
+        """Push a batch of Paulis i^phase X(x) Z(z), rows (x|z), through the circuit.
+
+        Returns new (phases mod 4, rows) holding U p Udag for each input p.
+        """
+        n = self.n
+        rows = np.asarray(rows, dtype=np.uint8)
+        phases = np.array(phases, dtype=np.int64)
+        code = (rows[:, :n] + 2 * rows[:, n:]).T.copy()  # qubit-major, so a gate reads rows
+        for g in self.gates:
+            inc, outs = _lookup(g.name)
+            idx = code[g.qubits[0]]
+            if len(g.qubits) == 2:
+                idx = idx + 4 * code[g.qubits[1]]
+            phases += inc[idx]
+            for q, out in zip(g.qubits, outs):
+                code[q] = out[idx]
+        return phases % 4, np.hstack([code.T & 1, code.T >> 1])
+
     def conjugate(self, p: PhasedPauli) -> PhasedPauli:
         """Push p through the circuit: U p Udag with U = gates applied in order."""
-        for g in self.gates:
-            p = conjugate_gate(g, p)
-        return p
+        phases, rows = self.propagate([p.phase], p.vector()[None, :])
+        return PhasedPauli.from_vector(rows[0], int(phases[0]))
 
     def symplectic(self) -> np.ndarray:
         """The 2n x 2n binary matrix acting on Pauli rows (x|z) from the right."""
-        u = np.eye(2 * self.n, dtype=np.uint8)
-        for g in self.gates:
-            _apply_symplectic_cols(u, g, self.n)
-        return u
+        return self.propagate(np.zeros(2 * self.n), np.eye(2 * self.n, dtype=np.uint8))[1]
 
     def inverse(self) -> "CliffordCircuit":
-        gates: list[Gate] = []
-        for g in reversed(self.gates):
-            for name in _GATE_INVERSE[g.name]:
-                gates.append(Gate(name, g.qubits[:1] if name in ONE_QUBIT_GATES else g.qubits))
-        return CliffordCircuit(self.n, tuple(gates))
+        gates = tuple(
+            Gate(name, g.qubits) for g in reversed(self.gates) for name in GATES[g.name].inverse
+        )
+        return CliffordCircuit(self.n, gates)
 
     def two_qubit_count(self) -> int:
         """Number of entangling gates (CNOT, CZ, CXX); SWAPs are not counted."""
@@ -257,7 +169,7 @@ def circuit_from_text(text: str, n: int | None = None) -> CliffordCircuit:
             continue
         parts = line.split()
         name = parts[0].upper()
-        if name not in ONE_QUBIT_GATES and name not in TWO_QUBIT_GATES:
+        if name not in GATES:
             raise ParseError(f"line {lineno}: unknown gate {parts[0]!r}")
         try:
             qubits = tuple(int(tok) for tok in parts[1:])
@@ -286,48 +198,10 @@ def pauli_to_gates(p: PhasedPauli) -> CliffordCircuit:
     return CliffordCircuit(p.n, tuple(gates))
 
 
-_QASM_SIMPLE = {
-    "H": "h",
-    "S": "s",
-    "SDG": "sdg",
-    "X": "x",
-    "Y": "y",
-    "Z": "z",
-    "I": "id",
-    "CZ": "cz",
-    "SWAP": "swap",
-    "CNOT": "cx",
-}
-
-
 def circuit_to_qasm(circ: CliffordCircuit) -> str:
-    """OpenQASM 2 text; SQRTX/GAMMA via H,S; CXX as an H-conjugated CZ."""
+    """OpenQASM 2 text, each gate written as its table body."""
     lines = ['OPENQASM 2.0;', 'include "qelib1.inc";', f"qreg q[{circ.n}];"]
     for g in circ.gates:
         qs = [f"q[{q}]" for q in g.qubits]
-        if g.name in _QASM_SIMPLE:
-            lines.append(f"{_QASM_SIMPLE[g.name]} {', '.join(qs)};")
-        elif g.name == "SQRTX":
-            lines += [f"h {qs[0]};", f"s {qs[0]};", f"h {qs[0]};"]
-        elif g.name == "GAMMA":  # H Sdg, rightmost applied first
-            lines += [f"sdg {qs[0]};", f"h {qs[0]};"]
-        elif g.name == "GAMMADG":
-            lines += [f"h {qs[0]};", f"s {qs[0]};"]
-        elif g.name == "CXX":
-            lines += [
-                f"h {qs[0]};",
-                f"h {qs[1]};",
-                f"cz {qs[0]}, {qs[1]};",
-                f"h {qs[0]};",
-                f"h {qs[1]};",
-            ]
-        else:  # pragma: no cover
-            raise ParseError(f"no qasm form for {g.name}")
+        lines += [stmt.format(*qs) + ";" for stmt in GATES[g.name].qasm.split("; ")]
     return "\n".join(lines) + "\n"
-
-
-def gate_symplectic(name: str, qubits: tuple[int, ...], n: int) -> np.ndarray:
-    """Symplectic matrix of a single gate on n qubits."""
-    u = np.eye(2 * n, dtype=np.uint8)
-    _apply_symplectic_cols(u, Gate(name, qubits), n)
-    return asbits(u)

@@ -1,30 +1,33 @@
 """Structured permutations to circuits, Pauli corrections, logical actions.
 
 A column permutation that preserves the constraint rows B factors, per
-qubit, into a rearrangement of that qubit's blocks (one of the six
-single-qubit Clifford cosets for 3 blocks, or identity / the kind's gate
-for 2 blocks) followed by a permutation of the qubits realized as SWAPs.
-Conjugating the permutation matrix by the block mixer E recovers the
-symplectic action on (x|z) rows; for 3-block representations the conjugate
-splits as a direct sum and the leading 2n x 2n block is the symplectic part.
+qubit, into a rearrangement of that qubit's blocks followed by a
+permutation of the qubits realized as SWAPs.  Conjugating the permutation
+matrix by the block mixer E recovers the symplectic action on (x|z) rows;
+for 3-block representations the conjugate splits as a direct sum and the
+leading 2n x 2n block is the symplectic part.  Each qubit's rearrangement
+is decoded the same way, as the 2 x 2 symplectic of the rearrangement on a
+one-qubit representation, and named by the first gate of the gate table
+with that symplectic; an identity symplectic gives no gate.
 
-The Pauli correction pushes each tableau row through the circuit,
-decomposes the image over the tableau basis via b = (x'|z') Omega tau^T
-Omega, and multiplies the correction by the paired row (i+n mod 2n)
-wherever the image sign disagrees with the signed product of tableau rows
-(adjusted by i^(-aX.aZ) so that squares of mapped logical Paulis stay +I).
-The corrected operator is the circuit preceded by the correction's gates.
+The Pauli correction pushes the tableau rows through the circuit in one
+batch, decomposes the images over the tableau basis via
+b = (x'|z') Omega tau^T Omega, and multiplies the correction by the paired
+row (i+n mod 2n) wherever the image sign disagrees with the signed product
+of tableau rows (adjusted by i^(-aX.aZ) so that squares of mapped logical
+Paulis stay +I).  The corrected operator is the circuit preceded by the
+correction's gates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 
-from .binrep import BlockRep, RepKind, block_mixer
-from .circuits import CliffordCircuit, Gate, pauli_to_gates
+from .binrep import BlockRep, RepKind, block_mixer, build
+from .circuits import ONE_QUBIT_GATES, CliffordCircuit, Gate, pauli_to_gates
 from .errors import (
     DimensionError,
     LengthMismatchError,
@@ -33,24 +36,8 @@ from .errors import (
     NotSymplecticError,
 )
 from .gf2 import asbits, invert, is_symplectic, mat2, solve_in_span
-from .pauli import PhasedPauli
-from .stabilizer import Tableau
-
-# block rearrangement (old block b moves to slot pi[b]) -> single-qubit gate
-_S3_GATES: dict[tuple[int, ...], str | None] = {
-    (0, 1, 2): None,
-    (1, 0, 2): "H",
-    (0, 2, 1): "S",
-    (2, 1, 0): "SQRTX",
-    (1, 2, 0): "GAMMA",
-    (2, 0, 1): "GAMMADG",
-}
-
-_S2_GATES = {
-    RepKind.HSWAP: "H",
-    RepKind.SSWAP: "S",
-    RepKind.SQRTXSWAP: "SQRTX",
-}
+from .pauli import PhasedPauli, row_products
+from .stabilizer import StabilizerCode, Tableau
 
 
 def permutation_matrix(images) -> np.ndarray:
@@ -122,6 +109,23 @@ def _perm_cycles(sigma: np.ndarray) -> list[list[int]]:
     return cycles
 
 
+@cache
+def _local_gate(kind: RepKind, local: tuple[int, ...]) -> str | None:
+    """The first gate whose symplectic is a one-qubit block rearrangement's.
+
+    The rearrangement moves block b to slot local[b]; an identity
+    symplectic (the identity and the Paulis) gives None.
+    """
+    u = perm_to_symplectic(build(StabilizerCode([], n=1), kind), local)
+    if np.array_equal(u, np.eye(2, dtype=np.uint8)):
+        return None
+    return next(
+        name
+        for name in ONE_QUBIT_GATES
+        if np.array_equal(CliffordCircuit(1, (Gate(name, (0,)),)).symplectic(), u)
+    )
+
+
 def perm_to_circuit(rep: BlockRep, images) -> CliffordCircuit:
     """Single-qubit gates plus SWAPs realizing a structured permutation.
 
@@ -135,10 +139,7 @@ def perm_to_circuit(rep: BlockRep, images) -> CliffordCircuit:
     local, sigma = _decode_structure(rep, images)
     gates: list[Gate] = []
     for q in range(n):
-        if rep.blocks == 3:
-            name = _S3_GATES[local[q]]
-        else:
-            name = _S2_GATES[rep.kind] if local[q] == (1, 0) else None
+        name = _local_gate(rep.kind, local[q])
         if name is not None:
             gates.append(Gate(name, (q,)))
     for cyc in _perm_cycles(sigma):
@@ -147,11 +148,6 @@ def perm_to_circuit(rep: BlockRep, images) -> CliffordCircuit:
     if not np.array_equal(circ.symplectic(), perm_to_symplectic(rep, images)):  # pragma: no cover
         raise NotStructuredError("decoded circuit does not reproduce the permutation")
     return circ
-
-
-def conjugate(circ: CliffordCircuit, p: PhasedPauli) -> PhasedPauli:
-    """circ . p . circ^dagger with exact phase, gates applied left to right."""
-    return circ.conjugate(p)
 
 
 @dataclass
@@ -176,32 +172,30 @@ def pauli_correct_and_action(t: Tableau, circ: CliffordCircuit) -> LogicalReport
     n, k = t.n, t.k
     if circ.n != n:
         raise LengthMismatchError(f"circuit on {circ.n} qubits, code on {n}")
-    tau_inv = t.inverse()
-    correction = PhasedPauli.identity(n)
-    u_act = np.zeros((2 * k, 2 * k), dtype=np.uint8)
-    for i in (*t.stab_rows, *t.logical_x_rows, *t.logical_z_rows):
-        mapped = circ.conjugate(t.row_pauli(i))
-        b = mat2(mapped.vector()[None, :], tau_inv)[0]
-        a_x = b[n - k : n]
-        a_z = b[2 * n - k :]
-        if b[n : 2 * n - k].any():
-            return LogicalReport(valid=False, reason=f"row {i} image leaves the code space")
-        if i < n - k and (a_x.any() or a_z.any()):
-            return LogicalReport(valid=False, reason=f"stabilizer row {i} image hits the logicals")
-        prod = PhasedPauli.identity(n)
-        for j in np.nonzero(b)[0]:
-            prod = prod.multiply(t.row_pauli(int(j)))
-        v = (prod.phase - int(a_x.astype(np.int64) @ a_z.astype(np.int64))) % 4
-        if mapped.phase != v:
-            # relative phase is always a sign; the paired row flips it
-            correction = correction.multiply(t.row_pauli((i + n) % (2 * n)))
-        if i >= n - k:
-            row = i - (n - k) if i < n else i - 2 * (n - k)
-            u_act[row, :k] = a_x
-            u_act[row, k:] = a_z
+    rows = np.array([*t.stab_rows, *t.logical_x_rows, *t.logical_z_rows], dtype=np.int64)
+    phases, mapped = circ.propagate(t.phases[rows], t.tau[rows])
+    b = mat2(mapped, t.inverse())
+    a_x = b[:, n - k : n]
+    a_z = b[:, 2 * n - k :]
+    leaves = b[:, n : 2 * n - k].any(axis=1)
+    hits = (rows < n - k) & (a_x.any(axis=1) | a_z.any(axis=1))
+    failed = np.nonzero(leaves | hits)[0]
+    if failed.size:
+        r = failed[0]
+        if leaves[r]:
+            reason = f"row {rows[r]} image leaves the code space"
+        else:
+            reason = f"stabilizer row {rows[r]} image hits the logicals"
+        return LogicalReport(valid=False, reason=reason)
+    prod_phases, _ = row_products(t.phases, t.tau, b)
+    v = (prod_phases - (a_x.astype(np.int64) * a_z).sum(axis=1)) % 4
+    # relative phase is always a sign; the paired row flips it
+    paired = (rows[phases != v] + n) % (2 * n)
+    c_phase, c_rows = row_products(t.phases[paired], t.tau[paired], np.ones((1, len(paired))))
+    u_act = np.hstack([a_x, a_z])[n - k :]
     return LogicalReport(
         valid=True,
-        pauli_correction=correction,
+        pauli_correction=PhasedPauli.from_vector(c_rows[0], int(c_phase[0])),
         u_act=u_act,
         action_word=action_name(u_act),
     )
@@ -247,23 +241,24 @@ def verify_preserves_stabilizers(t: Tableau, circ: CliffordCircuit) -> bool:
     return True
 
 
-_NAMED_GATES_1Q = ("H", "S", "SDG", "SQRTX", "GAMMA", "GAMMADG")
-
-
 @lru_cache(maxsize=8)
 def _named_actions(k: int) -> dict[bytes, str]:
     """Names for logical symplectics reachable in at most two gates, k <= 3."""
     gates: list[Gate] = []
     for q in range(k):
-        gates.extend(Gate(name, (q,)) for name in _NAMED_GATES_1Q)
+        gates.extend(Gate(name, (q,)) for name in ONE_QUBIT_GATES)
     for a in range(k):
         for c in range(a + 1, k):
             gates.append(Gate("CNOT", (a, c)))
             gates.append(Gate("CNOT", (c, a)))
             gates.extend(Gate(name, (a, c)) for name in ("SWAP", "CZ", "CXX"))
-    table = {np.eye(2 * k, dtype=np.uint8).tobytes(): "I"}
-    words = [(g,) for g in gates]
-    words.extend((g1, g2) for g1 in gates for g2 in gates)
+    eye = np.eye(2 * k, dtype=np.uint8)
+    table = {eye.tobytes(): "I"}
+    # gates with an identity symplectic (the Paulis) name nothing
+    singles = [
+        (g,) for g in gates if not np.array_equal(CliffordCircuit(k, (g,)).symplectic(), eye)
+    ]
+    words = singles + [w1 + w2 for w1 in singles for w2 in singles]
     for word in words:  # singles first, so shorter names win
         key = CliffordCircuit(k, word).symplectic().tobytes()
         table.setdefault(key, "; ".join(str(g) for g in word))

@@ -38,15 +38,15 @@ from .binrep import (
     build,
     row_augmented_matrix,
 )
-from .circuits import CliffordCircuit, Gate
+from .circuits import GATES, CliffordCircuit, Gate
 from .cliffordmap import LogicalReport, pauli_correct_and_action, perm_to_circuit
 from .errors import (
     DimensionError,
     EmbeddedInterpretationError,
     ParseError,
 )
-from .gf2 import asbits, mat2, solve_in_span
-from .pauli import PhasedPauli
+from .gf2 import mat2
+from .pauli import PhasedPauli, row_products
 from .stabilizer import StabilizerCode, Tableau, tableau
 
 
@@ -184,29 +184,27 @@ def embed(code: StabilizerCode, spec: EmbeddingSpec, basis: str = "z") -> Embedd
     return emb
 
 
-_Z_AUX_ROTATIONS = {"S": "S", "SDG": "SDG", "Z": None, "I": ()}
-_X_AUX_ROTATIONS = {"SQRTX": "SQRTX", "X": None, "I": ()}
-
-
 def interpret(emb: EmbeddedCode, circ: CliffordCircuit) -> CliffordCircuit:
     """Map a circuit on the embedded code back to the original qubits.
 
-    Gates on original qubits pass through.  On a Z-type auxiliary of
-    pair (a, b): S becomes S_a S_b CZ_ab, Z becomes Z_a Z_b, and a SWAP
-    with member b becomes CNOT a->b.  On an X-type auxiliary: SQRTX
-    becomes SQRTX_a SQRTX_b CXX_ab, X becomes X_a X_b, and a SWAP with
-    member b becomes CNOT b->a.  SWAPs between auxiliaries, or between
-    an auxiliary and a non-member, drop out here and are vetted by
-    interpretation_sound.  Anything else touching an auxiliary (H in
-    particular) has no counterpart and raises.
+    Gates on original qubits pass through.  A gate on an auxiliary must
+    fix its parity Pauli: on a Z-type auxiliary of pair (a, b) the gates
+    whose image of Z is +Z, on an X-type auxiliary those whose image of X
+    is +X.  The identity drops out, a Pauli becomes the same Pauli on a
+    and b, and any other such gate G becomes G_a G_b CZ_ab (Z-type) or
+    G_a G_b CXX_ab (X-type): S gives S_a S_b CZ_ab, SQRTX gives
+    SQRTX_a SQRTX_b CXX_ab.  A SWAP of a Z-type auxiliary with member b
+    becomes CNOT a->b, of an X-type one CNOT b->a.  SWAPs between
+    auxiliaries, or between an auxiliary and a non-member, drop out here
+    and are vetted by interpretation_sound.  Anything else touching an
+    auxiliary (H in particular) has no counterpart and raises.
     """
     if circ.n != emb.n + emb.m:
         raise DimensionError(
             "circuit acts on %d qubits, embedded code has %d" % (circ.n, emb.n + emb.m)
         )
     n = emb.n
-    rotations = _Z_AUX_ROTATIONS if emb.basis == "z" else _X_AUX_ROTATIONS
-    pair_gate = "CZ" if emb.basis == "z" else "CXX"
+    parity, dual, pair_gate = ("Z", "X", "CZ") if emb.basis == "z" else ("X", "Z", "CXX")
     out = []
     for gate in circ.gates:
         if all(q < n for q in gate.qubits):
@@ -214,22 +212,18 @@ def interpret(emb: EmbeddedCode, circ: CliffordCircuit) -> CliffordCircuit:
             continue
         if len(gate.qubits) == 1:
             a, b = emb.spec.pairs[gate.qubits[0] - n]
-            if gate.name not in rotations:
+            images = dict(zip("XZ", GATES[gate.name].images))
+            if images[parity] != parity:
                 raise EmbeddedInterpretationError(
                     "%s on auxiliary qubit %d has no action on the original code"
                     % (gate.name, gate.qubits[0])
                 )
-            local = rotations[gate.name]
-            if local == ():
+            if images[dual] == dual:  # the identity
                 continue
-            if local is not None:
-                out.append(Gate(local, (a,)))
-                out.append(Gate(local, (b,)))
+            out.append(Gate(gate.name, (a,)))
+            out.append(Gate(gate.name, (b,)))
+            if images[dual].lstrip("-") != dual:  # not a Pauli
                 out.append(Gate(pair_gate, (a, b)))
-            else:
-                name = "Z" if emb.basis == "z" else "X"
-                out.append(Gate(name, (a,)))
-                out.append(Gate(name, (b,)))
             continue
         if gate.name != "SWAP":
             raise EmbeddedInterpretationError(
@@ -265,26 +259,30 @@ def interpretation_sound(
     element with its exact sign (lifted checks and auxiliary parity
     rows).  This is the conjugation test that vets dropped SWAPs
     involving auxiliaries.
+
+    All rows are pushed through at once and compared in the frame before
+    the embedding circuit V, where the embedded circuit E becomes V, then
+    E, then V^-1, the lift of P is P itself, and the embedded stabilizers
+    are the code's stabilizers times parity Paulis on the auxiliaries.
     """
-    members = [lift_pauli(emb, t.row_pauli(i)) for i in t.stab_rows]
-    members += [emb.aux_pauli(j) for j in range(emb.m)]
-    if members:
-        span = np.vstack([q.vector() for q in members])
-    else:
-        span = np.zeros((0, 2 * (emb.n + emb.m)), dtype=np.uint8)
-    rows = (*t.stab_rows, *t.logical_x_rows, *t.logical_z_rows)
-    for i in rows:
-        p = t.row_pauli(i)
-        left = embedded_circ.conjugate(lift_pauli(emb, p))
-        right = lift_pauli(emb, interp.conjugate(p))
-        combo = solve_in_span(span, left.vector() ^ right.vector())
-        if combo is None:
-            return False
-        for j in np.nonzero(combo)[0]:
-            right = right.multiply(members[int(j)])
-        if right != left:
-            return False
-    return True
+    n, m, k = emb.n, emb.m, t.k
+    rows = [*t.stab_rows, *t.logical_x_rows, *t.logical_z_rows]
+    phases, bits = t.phases[rows], t.tau[rows]
+    padded = np.zeros((len(rows), 2 * (n + m)), dtype=np.uint8)
+    padded[:, :n] = bits[:, :n]
+    padded[:, n + m : 2 * n + m] = bits[:, n:]
+    lift = embedding_circuit(emb)
+    left_phases, left = (lift + embedded_circ + lift.inverse()).propagate(phases, padded)
+    right_phases, right = interp.propagate(phases, bits)
+    aux_x, aux_z = left[:, n : n + m], left[:, 2 * n + m :]
+    if (aux_x if emb.basis == "z" else aux_z).any():  # only parity Paulis allowed there
+        return False
+    b = mat2(np.hstack([left[:, :n], left[:, n + m : 2 * n + m]]) ^ right, t.inverse())
+    if b[:, n - k :].any():
+        return False
+    g_phases, g = row_products(t.phases, t.tau, b)
+    sign = 2 * (right[:, n:] & g[:, :n]).sum(axis=1, dtype=np.int64)
+    return bool(np.array_equal((right_phases + g_phases + sign) % 4, left_phases))
 
 
 @dataclass

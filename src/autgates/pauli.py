@@ -12,7 +12,7 @@ import re
 import numpy as np
 
 from .errors import LengthMismatchError, ParseError
-from .gf2 import asbits
+from .gf2 import asbits, mat2
 
 _PREFIX = {"": 0, "+": 0, "i": 1, "+i": 1, "-": 2, "-i": 3}
 _PREFIX_STR = {0: "", 1: "i", 2: "-", 3: "-i"}
@@ -109,9 +109,16 @@ class PhasedPauli:
         return f"PhasedPauli({self.to_string()!r})"
 
 
-def multiply(p: PhasedPauli, q: PhasedPauli) -> PhasedPauli:
-    return p.multiply(q)
+def row_products(phases, rows, coeffs) -> tuple[np.ndarray, np.ndarray]:
+    """Products, in row order, of the rows that each coefficient vector selects.
 
-
-def commute(p: PhasedPauli, q: PhasedPauli) -> bool:
-    return p.commutes_with(q)
+    Row i stands for i^phases[i] X(x) Z(z) with rows[i] = (x|z); returns
+    (phases, rows) of the products.  Taking row i before row j contributes
+    a sign (-1)^(z_i . x_j), as in PhasedPauli.multiply.
+    """
+    rows = asbits(rows)
+    n = rows.shape[1] // 2
+    later = np.triu(mat2(rows[:, n:], rows[:, :n].T), 1).astype(np.int64)
+    c = asbits(coeffs).astype(np.int64)
+    signs = (c @ later * c).sum(axis=1) % 2
+    return (c @ np.asarray(phases, dtype=np.int64) + 2 * signs) % 4, mat2(c, rows)

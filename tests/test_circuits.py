@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from autgates.circuits import (
+    GATES,
     ONE_QUBIT_GATES,
     TWO_QUBIT_GATES,
     CliffordCircuit,
     Gate,
     circuit_from_text,
     circuit_to_qasm,
-    gate_symplectic,
     pauli_to_gates,
 )
 from autgates.errors import ParseError
@@ -114,6 +114,14 @@ def test_circuit_symplectic_composes_left_to_right():
 
 
 def test_inverse_is_exact_on_phases():
+    # every gate followed by its inverse word fixes every signed Pauli
+    for name in GATES:
+        for qubits in [(0,)] if name in ONE_QUBIT_GATES else [(0, 1), (1, 0)]:
+            n = len(qubits)
+            gate = CliffordCircuit(n, (Gate(name, qubits),))
+            total = gate + gate.inverse()
+            for p in all_phased_paulis(n):
+                assert total.conjugate(p) == p, (name, qubits, p)
     rng = random.Random(37)
     for _ in range(30):
         n = rng.randrange(1, 4)
@@ -159,6 +167,12 @@ def test_qasm_emission_structure():
     assert "cx " not in qasm
 
 
+QASM_NAMES = {
+    "h": "H", "s": "S", "sdg": "SDG", "x": "X", "y": "Y", "z": "Z", "id": "I",
+    "cx": "CNOT", "cz": "CZ", "swap": "SWAP",
+}
+
+
 def test_qasm_gate_bodies_match_dense_semantics():
     # SQRTX == H S H and GAMMA == H after Sdg, as emitted
     v = CliffordCircuit(1, (Gate("H", (0,)), Gate("S", (0,)), Gate("H", (0,))))
@@ -166,6 +180,17 @@ def test_qasm_gate_bodies_match_dense_semantics():
     for p in all_phased_paulis(1):
         assert v.conjugate(p) == CliffordCircuit(1, (Gate("SQRTX", (0,)),)).conjugate(p)
         assert g.conjugate(p) == CliffordCircuit(1, (Gate("GAMMA", (0,)),)).conjugate(p)
+    # every gate's emitted body, read back as dense gates, conjugates as the gate
+    for name in GATES:
+        qubits = (0,) if name in ONE_QUBIT_GATES else (0, 1)
+        gate = CliffordCircuit(len(qubits), (Gate(name, qubits),))
+        body = []
+        for line in circuit_to_qasm(gate).splitlines()[3:]:
+            op, args = line.rstrip(";").split(" ", 1)
+            body.append(Gate(QASM_NAMES[op], tuple(int(a.strip()[2:-1]) for a in args.split(","))))
+        body = CliffordCircuit(len(qubits), tuple(body))
+        for p in all_phased_paulis(len(qubits)):
+            assert dense_conjugate(body, p) == dense_conjugate(gate, p) == gate.conjugate(p), name
 
 
 def test_pauli_to_gates_conjugation():
@@ -174,6 +199,10 @@ def test_pauli_to_gates_conjugation():
     q = PhasedPauli.from_string("ZIII")
     # conjugating Z by X flips its sign
     assert layer.conjugate(q) == PhasedPauli.from_string("-ZIII")
+
+
+def gate_symplectic(name, qubits, n):
+    return CliffordCircuit(n, (Gate(name, qubits),)).symplectic()
 
 
 def test_gate_symplectic_known_matrices():

@@ -85,6 +85,65 @@ S 3
 CZ 1 3
 """
 
+GATES_N5_THREEBLOCK = """\
+code: n=5 k=1 checks=4
+representation: threeblock
+rows: codewords
+automorphism group: order 360 (complete, 11 nodes)
+action group: order 6
+generators: 4
+generator 0:
+  permutation: (1 2 8)(3 11 12)(4 9 14)(6 7 13)
+  circuit: GAMMA 2; GAMMADG 3; GAMMA 4; SWAP 1 2; SWAP 1 3
+  correction: ZZZZZ
+  action: 01;11
+  action name: GAMMADG 0
+generator 1:
+  permutation: (1 3 14)(2 7 12)(4 6 8)(9 11 13)
+  circuit: GAMMA 2; GAMMADG 3; GAMMA 4; SWAP 1 3; SWAP 1 4
+  correction: ZZZZZ
+  action: 01;11
+  action name: GAMMADG 0
+generator 2:
+  permutation: (2 14)(3 8)(4 12)(5 10)(6 11)(7 9)
+  circuit: S 0; S 1; SQRTX 2; H 3; SQRTX 4; SWAP 2 4
+  correction: iZIZIY
+  action: 01;10
+  action name: H 0
+generator 3:
+  permutation: (0 1)(2 4)(5 6)(7 9)(10 11)(12 14)
+  circuit: SWAP 0 1; SWAP 2 4
+  correction: IIIII
+  action: 10;01
+  action name: I
+"""
+
+FIND_SQRTX_N5_QASM = """\
+OPENQASM 2.0;
+include "qelib1.inc";
+qreg q[5];
+z q[0];
+z q[1];
+s q[0];
+s q[1];
+h q[2];
+s q[2];
+h q[2];
+h q[3];
+h q[4];
+s q[4];
+h q[4];
+swap q[2], q[4];
+swap q[1], q[3];
+swap q[1], q[2];
+h q[4];
+s q[4];
+sdg q[3];
+h q[3];
+h q[2];
+s q[2];
+"""
+
 GAMMA_N5 = "SWAP 1 3\nSWAP 1 2\nGAMMADG 4\nGAMMA 3\nGAMMADG 2\n"
 
 
@@ -281,6 +340,20 @@ def test_find_gate_max_two_qubit_filter(capsys):
     assert rc == 2
 
 
+def test_gates_threeblock_decodes_every_local_gate(capsys):
+    rc, out, _ = run(
+        capsys, ["gates", "n5k1d3", "--rep", "threeblock", "--rows", "codewords"]
+    )
+    assert rc == 0
+    assert out == GATES_N5_THREEBLOCK
+
+
+def test_find_gate_qasm_gate_bodies(capsys):
+    rc, out, _ = run(capsys, ["find-gate", "n5k1d3", "--target", "SQRTX(0)", "--qasm"])
+    assert rc == 0
+    assert out == FIND_SQRTX_N5_QASM
+
+
 def test_find_gate_qasm(capsys):
     rc, out, _ = run(capsys, ["find-gate", "n4k2d2", "--target", "CNOT(0,1)", "--qasm"])
     assert rc == 0
@@ -353,6 +426,13 @@ def test_verify_rejects_non_normalizing_circuit(tmp_path, capsys):
     assert rc == 0
     assert "verdict: invalid" in out
     assert "leaves the code space" in out
+    # the reason names the first failing row
+    assert out == (
+        "code: n=4 k=2 checks=2\n"
+        "circuit: CNOT 0 1\n"
+        "verdict: invalid\n"
+        "reason: row 0 image leaves the code space\n"
+    )
 
 
 def test_verify_json(tmp_path, capsys):

@@ -2,10 +2,16 @@ import numpy as np
 import pytest
 
 from autgates.binrep import RepKind, build
-from autgates.circuits import CliffordCircuit, Gate, circuit_from_text
+from autgates.circuits import (
+    GATES,
+    ONE_QUBIT_GATES,
+    TWO_QUBIT_GATES,
+    CliffordCircuit,
+    Gate,
+    circuit_from_text,
+)
 from autgates.cliffordmap import (
     action_name,
-    conjugate,
     corrected_circuit,
     pauli_correct_and_action,
     perm_to_circuit,
@@ -180,27 +186,52 @@ def test_single_h_rejected():
     assert report.reason is not None
 
 
+def test_invalid_reason_names_the_first_failing_row():
+    cases = [
+        (FOUR_TWO_TWO, Gate("SQRTX", (0,)), "row 1 image leaves the code space"),
+        (FOUR_TWO_TWO, Gate("CZ", (0, 1)), "stabilizer row 0 image hits the logicals"),
+        (FOUR_TWO_TWO, Gate("CXX", (0, 1)), "stabilizer row 1 image hits the logicals"),
+        (FIVE_QUBIT, Gate("H", (0,)), "row 2 image leaves the code space"),
+    ]
+    for strings, gate, reason in cases:
+        code = StabilizerCode.from_strings(strings)
+        report = pauli_correct_and_action(tableau(code), CliffordCircuit(code.n, (gate,)))
+        assert not report.valid
+        assert report.reason == reason
+
+
 def random_circuit(rng, n, length):
-    names_1q = ["H", "S", "SDG", "SQRTX", "GAMMA", "GAMMADG", "X", "Y", "Z"]
     gates = []
     for _ in range(length):
         if n >= 2 and rng.rand() < 0.4:
             q0, q1 = rng.choice(n, size=2, replace=False)
-            name = ["SWAP", "CNOT", "CZ", "CXX"][rng.randint(4)]
+            name = TWO_QUBIT_GATES[rng.randint(len(TWO_QUBIT_GATES))]
             gates.append(Gate(name, (int(q0), int(q1))))
         else:
-            gates.append(Gate(names_1q[rng.randint(len(names_1q))], (int(rng.randint(n)),)))
+            name = ONE_QUBIT_GATES[rng.randint(len(ONE_QUBIT_GATES))]
+            gates.append(Gate(name, (int(rng.randint(n)),)))
     return CliffordCircuit(n, tuple(gates))
+
+
+def propagated_rows(circ, phases, rows):
+    """Batched propagation, unpacked into one PhasedPauli per input row."""
+    out_phases, out_rows = circ.propagate(phases, rows)
+    return [PhasedPauli.from_vector(row, int(phase)) for phase, row in zip(out_phases, out_rows)]
 
 
 def test_cross_oracle_agreement_on_random_circuits():
     rng = np.random.RandomState(11)
+    used = set()
     for strings in (FIVE_QUBIT, FOUR_TWO_TWO):
         code = StabilizerCode.from_strings(strings)
         t = tableau(code)
         accepted = 0
         for _ in range(60):
             circ = random_circuit(rng, code.n, rng.randint(0, 7))
+            used.update(g.name for g in circ.gates)
+            assert propagated_rows(circ, t.phases, t.tau) == [
+                circ.conjugate(t.row_pauli(i)) for i in range(2 * code.n)
+            ]
             report = pauli_correct_and_action(t, circ)
             if verify_preserves_stabilizers(t, circ):
                 assert report.valid  # stabilizer preservation implies a logical op
@@ -209,20 +240,29 @@ def test_cross_oracle_agreement_on_random_circuits():
                 assert verify_preserves_stabilizers(t, corrected_circuit(report, circ))
                 assert is_symplectic(report.u_act)
         assert accepted > 0  # Pauli-only circuits keep every run honest
+    assert used == set(GATES)
 
 
 def test_conjugation_composes_and_matches_dense_oracle():
     rng = np.random.RandomState(13)
+    used = set()
     for _ in range(40):
         n = rng.randint(1, 4)
         c1 = random_circuit(rng, n, rng.randint(0, 4))
         c2 = random_circuit(rng, n, rng.randint(0, 4))
+        used.update(g.name for g in (c1 + c2).gates)
         p = PhasedPauli(
             rng.randint(4), rng.randint(0, 2, size=n), rng.randint(0, 2, size=n)
         )
-        whole = conjugate(c1 + c2, p)
-        assert whole == conjugate(c2, conjugate(c1, p))
+        whole = (c1 + c2).conjugate(p)
+        assert whole == c2.conjugate(c1.conjugate(p))
         assert whole == dense_conjugate(c1 + c2, p)
+        phases, rows = rng.randint(4, size=5), rng.randint(0, 2, size=(5, 2 * n))
+        singles = [PhasedPauli.from_vector(row, int(ph)) for ph, row in zip(phases, rows)]
+        assert propagated_rows(c1 + c2, phases, rows) == [
+            (c1 + c2).conjugate(q) for q in singles
+        ] == [dense_conjugate(c1 + c2, q) for q in singles]
+    assert used == set(GATES)
 
 
 def test_action_names():

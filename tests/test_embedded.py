@@ -214,6 +214,39 @@ def test_sound_swap_with_parity_forced_qubit():
     assert interpretation_sound(emb, t, circ, interp)
 
 
+def test_unsound_swap_with_negative_parity_check():
+    # with -ZZZ the code space has x2 = x0 + x1 + 1, so the same SWAP as
+    # above flips qubit 2 and is not a logical identity
+    code = StabilizerCode.from_strings(["-ZZZ"])
+    emb = embed(code, EmbeddingSpec(3, ((0, 1),)))
+    circ = CliffordCircuit(4, (Gate("SWAP", (2, 3)),))
+    assert not interpretation_sound(emb, tableau(code), circ, interpret(emb, circ))
+
+
+def test_unsound_member_gate_that_moves_the_parity():
+    # SQRTX on a member passes through interpret, but it does not commute
+    # with the embedding's CNOTs, so it acts differently on the embedded code
+    code = StabilizerCode.from_strings(["ZZZ"])
+    emb = embed(code, EmbeddingSpec(3, ((0, 1),)))
+    circ = CliffordCircuit(4, (Gate("SQRTX", (0,)),))
+    interp = interpret(emb, circ)
+    assert str(interp) == "SQRTX 0"
+    assert not interpretation_sound(emb, tableau(code), circ, interp)
+
+
+def test_sound_compares_exact_signs():
+    # swapping member 0 with the (0, 2) auxiliary is CNOT 2->0; CNOT 1->0
+    # matches it on every row only up to the sign of a stabilizer product
+    code = StabilizerCode.from_strings(["XZZ", "ZXI"])
+    emb = embed(code, EmbeddingSpec(3, ((0, 2),)))
+    t = tableau(code)
+    circ = CliffordCircuit(4, (Gate("SWAP", (0, 3)),))
+    interp = interpret(emb, circ)
+    assert str(interp) == "CNOT 2 0"
+    assert interpretation_sound(emb, t, circ, interp)
+    assert not interpretation_sound(emb, t, circ, CliffordCircuit(3, (Gate("CNOT", (1, 0)),)))
+
+
 def test_unsound_swap_with_free_qubit(four_qubit):
     # here x2 is not the (0, 1) parity on the codespace, so the dropped
     # SWAP is not a logical identity and must be flagged
