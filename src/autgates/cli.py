@@ -32,7 +32,6 @@ from .codes import corpus_names, corpus_path
 from .embedded import all_pairs, discover_embedded_gates, parse_pairs_file
 from .errors import AutgatesError, NotRealizableError, ParseError
 from .logsearch import (
-    LogicalActionGroup,
     discover_gates,
     parse_action_matrix,
     parse_target,
@@ -245,10 +244,8 @@ def cmd_find_gate(args) -> int:
     )
     t = disc.tableau
     target = _parse_target_arg(args.target, t.k)
-    group = LogicalActionGroup(t.k)
+    group = disc.group
     complete = disc.search.complete
-    for gate in disc.gates:
-        group.add(gate.report.u_act, gate.circuit)
     if args.embed is not None:
         spec = (
             all_pairs(code.n)

@@ -31,13 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autsearch import AutSearchResult, matrix_automorphisms
-from .binrep import (
-    DEFAULT_CODEWORD_CAP,
-    RepKind,
-    RowSource,
-    build,
-    row_augmented_matrix,
-)
+from .binrep import RepKind, RowSource, build, row_augmented_matrix
 from .circuits import GATES, CliffordCircuit, Gate
 from .cliffordmap import LogicalReport, pauli_correct_and_action, perm_to_circuit
 from .errors import (
@@ -323,8 +317,6 @@ def discover_embedded_gates(
     rows: RowSource = RowSource.AS_GIVEN,
     max_nodes: int | None = None,
     deadline: float | None = None,
-    cap: int = DEFAULT_CODEWORD_CAP,
-    probe_rotations: bool = True,
 ) -> EmbeddedDiscovery:
     """Automorphism discovery on the embedded code, mapped back and verified.
 
@@ -338,13 +330,13 @@ def discover_embedded_gates(
     basis = "x" if kind is RepKind.SQRTXSWAP else "z"
     emb = embed(code, spec, basis=basis)
     rep = build(emb.code, kind)
-    mat, colors = row_augmented_matrix(rep, rows, cap=cap)
+    mat, colors = row_augmented_matrix(rep, rows)
     search = matrix_automorphisms(
         mat, colors, max_nodes=max_nodes, deadline=deadline
     )
     t = tableau(code)
     candidates = list(search.generators)
-    if probe_rotations and kind is not RepKind.HSWAP:
+    if kind is not RepKind.HSWAP:
         known = set(candidates)
         n_total = emb.n + emb.m
         for j in range(emb.m):

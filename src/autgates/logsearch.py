@@ -24,7 +24,6 @@ import numpy as np
 
 from .autsearch import AutSearchResult, matrix_automorphisms
 from .binrep import (
-    DEFAULT_CODEWORD_CAP,
     BlockRep,
     RepKind,
     RowSource,
@@ -89,13 +88,14 @@ class LogicalActionGroup:
         u = self._check_matrix(u_act)
         idx = len(self.generators)
         self.generators.append((u, circuit))
-        return self._chain.add(MatrixElement(u, ((idx, 1),)))
+        return self._chain.add(MatrixElement.from_matrix(u, ((idx, 1),)))
 
     def order(self) -> int:
         return self._chain.order()
 
     def contains(self, u_act) -> bool:
-        return self._chain.contains(MatrixElement(self._check_matrix(u_act)))
+        u = self._check_matrix(u_act)
+        return self._chain.contains(MatrixElement.from_matrix(u))
 
     def express(self, u_act):
         """Word of (generator_index, exponent) pairs recomposing to u_act.
@@ -103,7 +103,8 @@ class LogicalActionGroup:
         The word reads left to right in application order; None when the
         action is outside the group.
         """
-        elt = self._chain.express(MatrixElement(self._check_matrix(u_act)))
+        u = self._check_matrix(u_act)
+        elt = self._chain.express(MatrixElement.from_matrix(u))
         return None if elt is None else elt.word
 
     def word_matrix(self, word) -> np.ndarray:
@@ -194,7 +195,6 @@ def discover_gates(
     rows: RowSource = RowSource.AS_GIVEN,
     max_nodes: int | None = None,
     deadline: float | None = None,
-    cap: int = DEFAULT_CODEWORD_CAP,
 ) -> DiscoveryResult:
     """Run representation, automorphism search, lifting and correction.
 
@@ -203,7 +203,7 @@ def discover_gates(
     or the lifting is broken, so it raises instead of skipping.
     """
     rep = build(code, kind)
-    mat, colors = row_augmented_matrix(rep, rows, cap=cap)
+    mat, colors = row_augmented_matrix(rep, rows)
     search = matrix_automorphisms(
         mat, colors, max_nodes=max_nodes, deadline=deadline
     )

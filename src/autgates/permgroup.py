@@ -1,10 +1,18 @@
 """Permutation groups via deterministic Schreier-Sims stabilizer chains.
 
 The chain code is generic over the element type: anything that supports
-``act``, ``compose``, ``inverse``, ``is_identity``, ``moved_point`` and
-``key`` can be used.  Two element types are provided: ``PermElement``
-(permutations of ``range(degree)``) and ``MatrixElement`` (invertible
-binary matrices acting on row vectors encoded as integers).
+``act``, ``compose``, ``inverse``, ``is_identity`` and ``moved_point``
+can be used.  Both element types provided here hold an element as the
+tuple of the images of its basis points, so ``compose``,
+``is_identity`` and ``moved_point`` are written once for both; a type
+supplies only its basis points, ``act`` and ``inverse``.
+``PermElement`` permutes ``range(degree)`` and its basis points are
+``0..d-1``.  ``MatrixElement`` is an invertible binary matrix acting on
+row vectors encoded as integers; its basis points are the unit vectors
+``1 << i``, so its images are the matrix rows packed into Python ints
+of any width.  An element computes its inverse at most once and keeps
+it, since sifting divides by the same transversal elements over and
+over.
 
 Every element carries a word in the user's generators as a tuple of
 ``(generator_index, exponent)`` pairs with exponent +1 or -1, read left
@@ -15,17 +23,12 @@ the requested permutation or matrix.
 
 import numpy as np
 
-from .gf2 import asbits, invert, mat2
+from .gf2 import asbits, invert
 
 
 def invert_word(word):
     """Word of the inverse element: reverse order, flip exponents."""
     return tuple((idx, -exp) for idx, exp in reversed(word))
-
-
-def compose_images(p, q):
-    """Images of "apply p, then q" for permutations given as sequences."""
-    return tuple(q[i] for i in p)
 
 
 def invert_images(p):
@@ -53,108 +56,105 @@ def cycle_string(images):
     return "".join(parts) if parts else "()"
 
 
-class PermElement:
-    """Permutation of range(degree) carrying a generator word."""
+class _Element:
+    """Images of the basis points under an element, plus its word."""
 
-    __slots__ = ("images", "word")
+    __slots__ = ("images", "word", "_inverse")
 
     def __init__(self, images, word=()):
         self.images = tuple(images)
         self.word = tuple(word)
+        self._inverse = None
 
     @classmethod
-    def identity(cls, degree):
-        return cls(range(degree), ())
+    def identity(cls, dim):
+        return cls(cls.basis(dim))
+
+    def compose(self, other):
+        """Element "apply self, then other"."""
+        return type(self)(map(other.act, self.images), self.word + other.word)
+
+    def moved_point(self):
+        """Smallest basis point not fixed, or None for the identity."""
+        for point, image in zip(self.basis(len(self.images)), self.images):
+            if image != point:
+                return point
+        return None
+
+    def is_identity(self):
+        return self.moved_point() is None
+
+
+class PermElement(_Element):
+    """Permutation of range(degree) carrying a generator word."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def basis(dim):
+        return range(dim)
 
     def act(self, point):
         return self.images[point]
 
-    def compose(self, other):
-        """Element "apply self, then other"."""
-        return PermElement(
-            (other.images[i] for i in self.images), self.word + other.word
-        )
-
     def inverse(self):
-        return PermElement(invert_images(self.images), invert_word(self.word))
-
-    def is_identity(self):
-        return all(i == j for i, j in enumerate(self.images))
-
-    def moved_point(self):
-        """Smallest point not fixed, or None for the identity."""
-        for i, j in enumerate(self.images):
-            if i != j:
-                return i
-        return None
-
-    def key(self):
-        return self.images
+        if self._inverse is None:
+            self._inverse = PermElement(
+                invert_images(self.images), invert_word(self.word)
+            )
+        return self._inverse
 
     def __repr__(self):
         return "PermElement(%s)" % cycle_string(self.images)
 
 
-class MatrixElement:
+class MatrixElement(_Element):
     """Invertible binary matrix acting on row vectors encoded as ints.
 
-    A vector (v_0, ..., v_{d-1}) is encoded as sum(v_j << j).  The action
-    is right multiplication v @ M, so compose(a, b) multiplies a.mat @
-    b.mat.
+    A vector (v_0, ..., v_{d-1}) is encoded as sum(v_j << j), and the
+    images of the unit vectors are the matrix rows so encoded.  The
+    action is right multiplication v @ M, so compose(a, b) is a @ b.
     """
 
-    __slots__ = ("mat", "word", "_rows")
+    __slots__ = ()
 
-    def __init__(self, mat, word=()):
-        self.mat = np.ascontiguousarray(asbits(mat))
-        self.word = tuple(word)
-        self._rows = None
+    @staticmethod
+    def basis(dim):
+        return [1 << i for i in range(dim)]
 
     @classmethod
-    def identity(cls, dim):
-        return cls(np.eye(dim, dtype=np.uint8))
+    def from_matrix(cls, mat, word=()):
+        """Element of a d x d binary matrix, each row packed into an int."""
+        packed = np.packbits(asbits(mat), axis=1, bitorder="little")
+        return cls((int.from_bytes(row.tobytes(), "little") for row in packed), word)
 
-    def _row_ints(self):
-        if self._rows is None:
-            weights = 1 << np.arange(self.mat.shape[1], dtype=np.int64)
-            self._rows = [int(r) for r in self.mat.astype(np.int64) @ weights]
-        return self._rows
+    def matrix(self):
+        """The rows unpacked into a d x d uint8 array."""
+        d = len(self.images)
+        width = (d + 7) // 8
+        packed = b"".join(row.to_bytes(width, "little") for row in self.images)
+        bits = np.frombuffer(packed, dtype=np.uint8).reshape(d, width)
+        return np.unpackbits(bits, axis=1, count=d, bitorder="little")
 
     def act(self, point):
-        rows = self._row_ints()
+        # XOR the rows at the set bits of point, lowest bit first
+        rows = self.images
         out = 0
-        i = 0
         while point:
-            if point & 1:
-                out ^= rows[i]
-            point >>= 1
-            i += 1
+            low = point & -point
+            out ^= rows[low.bit_length() - 1]
+            point ^= low
         return out
 
-    def compose(self, other):
-        """Element "apply self, then other"."""
-        return MatrixElement(mat2(self.mat, other.mat), self.word + other.word)
-
     def inverse(self):
-        return MatrixElement(invert(self.mat), invert_word(self.word))
-
-    def is_identity(self):
-        d = self.mat.shape[0]
-        return bool(np.array_equal(self.mat, np.eye(d, dtype=np.uint8)))
-
-    def moved_point(self):
-        """Smallest moved basis point 1 << i, or None for the identity."""
-        for i in range(self.mat.shape[0]):
-            p = 1 << i
-            if self.act(p) != p:
-                return p
-        return None
-
-    def key(self):
-        return self.mat.tobytes()
+        if self._inverse is None:
+            self._inverse = MatrixElement.from_matrix(
+                invert(self.matrix()), invert_word(self.word)
+            )
+        return self._inverse
 
     def __repr__(self):
-        return "MatrixElement(%r)" % (self.mat.tolist(),)
+        return "MatrixElement(%r)" % (self.matrix().tolist(),)
 
 
 class StabilizerChain:
@@ -222,24 +222,14 @@ class StabilizerChain:
     def express(self, g):
         """Return a member equal to g whose word is in the generators.
 
-        Returns None when g is not in the group.  The result composes the
-        transversal elements dividing g, so its word recomposes to g.
+        Returns None when g is not in the group.  Sifting appends the
+        inverse words of the dividing transversal elements to g's word,
+        so inverting that tail gives a word that recomposes to g.
         """
-        node = self
-        used = []
-        while node is not None and node.basepoint is not None:
-            u = node.tree.get(g.act(node.basepoint))
-            if u is None:
-                return None
-            g = g.compose(u.inverse())
-            used.append(u)
-            node = node.stab
-        if not g.is_identity():
+        residue = self.sift(g)
+        if not residue.is_identity():
             return None
-        out = self.identity
-        for u in reversed(used):
-            out = out.compose(u)
-        return out
+        return type(g)(g.images, invert_word(residue.word[len(g.word):]))
 
     def add(self, gen):
         """Add a generator; returns True if the group grew."""

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from autgates.cli import main
+from autgates.logsearch import LogicalActionGroup
 
 ANALYZE_N5 = """\
 code: n=5 k=1 checks=4
@@ -287,6 +288,22 @@ def test_find_gate_cnot(capsys):
     rc, out, _ = run(capsys, ["find-gate", "n4k2d2", "--target", "CNOT(0,1)"])
     assert rc == 0
     assert out == FIND_CNOT
+
+
+def test_find_gate_builds_one_action_group(monkeypatch, capsys):
+    # the discovered gates' chain is reused, not rebuilt a second time
+    built = []
+    original = LogicalActionGroup.__init__
+
+    def counting_init(self, k):
+        built.append(k)
+        original(self, k)
+
+    monkeypatch.setattr(LogicalActionGroup, "__init__", counting_init)
+    rc, out, _ = run(capsys, ["find-gate", "n4k2d2", "--target", "CNOT(0,1)"])
+    assert rc == 0
+    assert out == FIND_CNOT
+    assert built == [2]
 
 
 def test_find_gate_output_pipes_into_verify(tmp_path, capsys):

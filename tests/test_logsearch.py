@@ -194,6 +194,18 @@ def test_word_circuit_applies_inverse_exponents():
     assert [g.name for g in circ.gates] == ["SDG"]
 
 
+@pytest.mark.parametrize("k", [31, 32, 33])
+def test_action_group_beyond_64_bit_rows(k):
+    # 2k >= 64 columns no longer fit one int64 per row
+    circ = CliffordCircuit(k, (Gate("H", (k - 1,)), Gate("CNOT", (0, k - 1))))
+    u = circ.symplectic()
+    group = LogicalActionGroup(k)
+    assert group.add(u, circ)
+    assert group.order() == 4
+    assert group.contains(u)
+    assert np.array_equal(group.word_matrix(group.express(u)), u)
+
+
 def test_synthesize_rejects_bad_targets(five_qubit_discovery):
     res = five_qubit_discovery
     with pytest.raises(DimensionError):

@@ -10,7 +10,6 @@ from autgates.permgroup import (
     PermElement,
     PermGroup,
     StabilizerChain,
-    compose_images,
     cycle_string,
     invert_images,
 )
@@ -26,7 +25,7 @@ def closure(gens):
         new = []
         for p in frontier:
             for g in gens:
-                q = compose_images(p, g)
+                q = tuple(g[i] for i in p)  # apply p, then g
                 if q not in seen:
                     seen.add(q)
                     new.append(q)
@@ -163,7 +162,7 @@ def test_matrix_element_action_and_inverse():
         while True:
             m = rng.integers(0, 2, size=(d, d)).astype(np.uint8)
             try:
-                elt = MatrixElement(m)
+                elt = MatrixElement.from_matrix(m)
                 inv = elt.inverse()
             except SingularMatrixError:
                 continue
@@ -175,12 +174,27 @@ def test_matrix_element_action_and_inverse():
             assert elt.act(point) == image
             assert inv.act(elt.act(point)) == point
         assert elt.compose(inv).is_identity()
+        assert elt.inverse() is inv  # computed once, then kept
+
+
+def test_matrix_element_act_at_dimension_66():
+    # rows wider than 64 bits: compare with v @ M mod 2 on bit vectors
+    rng = np.random.default_rng(66)
+    d = 66
+    m = rng.integers(0, 2, size=(d, d)).astype(np.uint8)
+    elt = MatrixElement.from_matrix(m)
+    for _ in range(20):
+        v = rng.integers(0, 2, size=d).astype(np.uint8)
+        point = sum(int(bit) << j for j, bit in enumerate(v))
+        w = v.astype(np.int64) @ m % 2
+        assert elt.act(point) == sum(int(bit) << j for j, bit in enumerate(w))
+    assert np.array_equal(elt.matrix(), m)
 
 
 def test_matrix_chain_gl3_order():
     # GL(3, 2) has order 168; generate from a transvection and a cycle
-    a = MatrixElement([[1, 1, 0], [0, 1, 0], [0, 0, 1]], ((0, 1),))
-    b = MatrixElement([[0, 1, 0], [0, 0, 1], [1, 0, 0]], ((1, 1),))
+    a = MatrixElement.from_matrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]], ((0, 1),))
+    b = MatrixElement.from_matrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]], ((1, 1),))
     chain = StabilizerChain(MatrixElement.identity(3))
     chain.add(a)
     chain.add(b)
@@ -189,8 +203,8 @@ def test_matrix_chain_gl3_order():
 
 def test_matrix_chain_symplectic_groups():
     # Sp(2, 2) from the 1-qubit H and S symplectic matrices: order 6
-    h = MatrixElement([[0, 1], [1, 0]], ((0, 1),))
-    s = MatrixElement([[1, 1], [0, 1]], ((1, 1),))
+    h = MatrixElement.from_matrix([[0, 1], [1, 0]], ((0, 1),))
+    s = MatrixElement.from_matrix([[1, 1], [0, 1]], ((1, 1),))
     chain = StabilizerChain(MatrixElement.identity(2), prescribed_base=(1, 2))
     chain.add(h)
     chain.add(s)
@@ -209,7 +223,7 @@ def test_matrix_chain_symplectic_groups():
         MatrixElement.identity(4), prescribed_base=tuple(1 << i for i in range(4))
     )
     for i, c in enumerate(circs):
-        gens.append(MatrixElement(c.symplectic(), ((i, 1),)))
+        gens.append(MatrixElement.from_matrix(c.symplectic(), ((i, 1),)))
         chain4.add(gens[-1])
     assert chain4.order() == 720
 
@@ -218,14 +232,16 @@ def test_matrix_chain_symplectic_groups():
     target = MatrixElement.identity(4)
     for idx in rng.integers(0, len(gens), size=12):
         target = target.compose(gens[int(idx)])
-    elt = chain4.express(MatrixElement(target.mat))
+    elt = chain4.express(MatrixElement(target.images))
     assert elt is not None
     recomposed = MatrixElement.identity(4)
     for idx, exp in elt.word:
         g = gens[idx]
         recomposed = recomposed.compose(g if exp > 0 else g.inverse())
-    assert np.array_equal(recomposed.mat, target.mat)
+    assert np.array_equal(recomposed.matrix(), target.matrix())
 
     # an invertible matrix that skews only the x block is not symplectic
-    outsider = MatrixElement([[1, 0, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    outsider = MatrixElement.from_matrix(
+        [[1, 0, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    )
     assert not chain4.contains(outsider)
