@@ -1,14 +1,16 @@
 """Binary-code representations of stabilizer codes.
 
 Each representation maps the check matrix [G_X | G_Z] to a binary generator
-matrix G_E = [G_X | G_Z] * E whose column permutations (of a constrained
-shape) correspond to circuits built from one single-qubit Clifford type plus
-qubit SWAPs:
+matrix G_E = [G_X | G_Z (| 0)] * E whose column permutations (of a
+constrained shape) correspond to circuits built from one single-qubit
+Clifford type plus qubit SWAPs.  Every kind is defined once, in _MIXERS, by
+its one-qubit mixer E_1: a qubit holding (x, z) gets block b equal to
+(x, z, 0) . E_1[:, b], and E = E_1 (x) I_n.
 
-  HSWAP       [G_X | G_Z]              E = I            gates H + SWAP
-  SSWAP       [G_Z | G_X+G_Z]          E = [[0,I],[I,I]]      S + SWAP
-  SQRTXSWAP   [G_X | G_X+G_Z]          E = [[I,I],[0,I]]      SQRTX + SWAP
-  THREEBLOCK  [G_X | G_Z | G_X+G_Z]    E = [[I,0,I],[0,I,I],[I,I,I]]
+  HSWAP       [G_X | G_Z]              E_1 = [[1,0],[0,1]]    gates H + SWAP
+  SSWAP       [G_Z | G_X+G_Z]          E_1 = [[0,1],[1,1]]    S + SWAP
+  SQRTXSWAP   [G_X | G_X+G_Z]          E_1 = [[1,1],[0,1]]    SQRTX + SWAP
+  THREEBLOCK  [G_X | G_Z | G_X+G_Z]    E_1 = [[1,0,1],[0,1,1],[1,1,1]]
                                                 all single-qubit Cliffords + SWAP
 
 The constrained shape is enforced structurally: the automorphism search runs
@@ -38,7 +40,7 @@ class RepKind(enum.Enum):
 
     @property
     def blocks(self) -> int:
-        return 3 if self is RepKind.THREEBLOCK else 2
+        return len(_MIXERS[self])
 
 
 class RowSource(enum.Enum):
@@ -47,29 +49,23 @@ class RowSource(enum.Enum):
     ALL_CODEWORDS = "codewords"
 
 
+# rows: the x, z (and, for three blocks, auxiliary) inputs; columns: blocks
+_MIXERS = {
+    RepKind.HSWAP: ((1, 0), (0, 1)),
+    RepKind.SSWAP: ((0, 1), (1, 1)),
+    RepKind.SQRTXSWAP: ((1, 1), (0, 1)),
+    RepKind.THREEBLOCK: ((1, 0, 1), (0, 1, 1), (1, 1, 1)),
+}
+
+
 def _blockify(gx: np.ndarray, gz: np.ndarray, kind: RepKind) -> np.ndarray:
-    if kind is RepKind.HSWAP:
-        return np.hstack([gx, gz])
-    if kind is RepKind.SSWAP:
-        return np.hstack([gz, gx ^ gz])
-    if kind is RepKind.SQRTXSWAP:
-        return np.hstack([gx, gx ^ gz])
-    return np.hstack([gx, gz, gx ^ gz])
+    ex, ez = _MIXERS[kind][:2]
+    return np.hstack([gx * a ^ gz * b for a, b in zip(ex, ez)])
 
 
 def block_mixer(kind: RepKind, n: int) -> np.ndarray:
-    """The column-mixing matrix E with G_E = [G_X | G_Z (| 0)] @ E."""
-    eye = np.eye(n, dtype=np.uint8)
-    zero = np.zeros((n, n), dtype=np.uint8)
-    if kind is RepKind.HSWAP:
-        return np.eye(2 * n, dtype=np.uint8)
-    if kind is RepKind.SSWAP:
-        return np.block([[zero, eye], [eye, eye]]).astype(np.uint8)
-    if kind is RepKind.SQRTXSWAP:
-        return np.block([[eye, eye], [zero, eye]]).astype(np.uint8)
-    return np.block(
-        [[eye, zero, eye], [zero, eye, eye], [eye, eye, eye]]
-    ).astype(np.uint8)
+    """The column-mixing matrix E = E_1 (x) I_n with G_E = [G_X | G_Z (| 0)] @ E."""
+    return np.kron(np.array(_MIXERS[kind], dtype=np.uint8), np.eye(n, dtype=np.uint8))
 
 
 @dataclass

@@ -1,14 +1,14 @@
 """Structured permutations to circuits, Pauli corrections, logical actions.
 
 A column permutation that preserves the constraint rows B factors, per
-qubit, into a rearrangement of that qubit's blocks followed by a
-permutation of the qubits realized as SWAPs.  Conjugating the permutation
-matrix by the block mixer E recovers the symplectic action on (x|z) rows;
-for 3-block representations the conjugate splits as a direct sum and the
-leading 2n x 2n block is the symplectic part.  Each qubit's rearrangement
-is decoded the same way, as the 2 x 2 symplectic of the rearrangement on a
-one-qubit representation, and named by the first gate of the gate table
-with that symplectic; an identity symplectic gives no gate.
+qubit, into a rearrangement P_q of that qubit's blocks followed by a
+permutation sigma of the qubits realized as SWAPs.  The symplectic action
+on (x|z) rows is built from that decode: qubit q's 2 x 2 block is the
+one-qubit conjugate E_1 P_q E_1^-1 by the block mixer (for 3-block
+representations the conjugate must split as a direct sum, and its leading
+2 x 2 block is the symplectic part), placed at rows (x_q, z_q) and columns
+(x_sigma(q), z_sigma(q)).  Each qubit's gate is the first gate of the gate
+table with that 2 x 2 symplectic; an identity symplectic gives no gate.
 
 The Pauli correction pushes the tableau rows through the circuit in one
 batch, decomposes the images over the tableau basis via
@@ -26,7 +26,7 @@ from functools import cache, lru_cache
 
 import numpy as np
 
-from .binrep import BlockRep, RepKind, block_mixer, build
+from .binrep import BlockRep, RepKind, block_mixer
 from .circuits import ONE_QUBIT_GATES, CliffordCircuit, Gate, pauli_to_gates
 from .errors import (
     DimensionError,
@@ -37,44 +37,15 @@ from .errors import (
 )
 from .gf2 import asbits, invert, is_symplectic, mat2, solve_in_span
 from .pauli import PhasedPauli, row_products
-from .stabilizer import StabilizerCode, Tableau
-
-
-def permutation_matrix(images) -> np.ndarray:
-    """P with P[i, images[i]] = 1, acting on row vectors from the right."""
-    images = np.asarray(images, dtype=np.int64)
-    m = images.shape[0]
-    if images.ndim != 1 or np.any(np.sort(images) != np.arange(m)):
-        raise DimensionError("images do not form a permutation")
-    p = np.zeros((m, m), dtype=np.uint8)
-    p[np.arange(m), images] = 1
-    return p
-
-
-def perm_to_symplectic(rep: BlockRep, images) -> np.ndarray:
-    """Symplectic matrix of a structured column permutation.
-
-    Conjugates the permutation matrix by the block mixer E; a 3-block
-    conjugate must split as [U 0; 0 W] and the 2n x 2n block U is returned.
-    """
-    n = rep.n
-    width = rep.blocks * n
-    if len(images) != width:
-        raise DimensionError(f"permutation on {len(images)} columns, expected {width}")
-    e = block_mixer(rep.kind, n)
-    conj = mat2(mat2(e, permutation_matrix(images)), invert(e))
-    if rep.blocks == 3 and (conj[: 2 * n, 2 * n :].any() or conj[2 * n :, : 2 * n].any()):
-        raise NotDirectSumError("conjugated permutation mixes the auxiliary block")
-    u = conj[: 2 * n, : 2 * n]
-    if not is_symplectic(u):
-        raise NotSymplecticError("conjugated permutation is not symplectic")
-    return u
+from .stabilizer import Tableau
 
 
 def _decode_structure(rep: BlockRep, images) -> tuple[list[tuple[int, ...]], np.ndarray]:
     """Per-qubit block rearrangements and the induced qubit permutation."""
     n, blocks = rep.n, rep.blocks
     images = [int(i) for i in images]
+    if sorted(images) != list(range(blocks * n)):
+        raise DimensionError(f"images do not form a permutation of {blocks * n} columns")
     sigma = np.zeros(n, dtype=np.int64)
     local: list[tuple[int, ...]] = []
     for q in range(n):
@@ -84,9 +55,37 @@ def _decode_structure(rep: BlockRep, images) -> tuple[list[tuple[int, ...]], np.
             raise NotStructuredError(f"columns of qubit {q} scatter across qubits")
         sigma[q] = target
         local.append(tuple(c // n for c in cols))
-    if np.any(np.sort(sigma) != np.arange(n)):
-        raise NotStructuredError("induced qubit map is not a permutation")
     return local, sigma
+
+
+@cache
+def _local_symplectic(kind: RepKind, local: tuple[int, ...]) -> np.ndarray:
+    """The 2 x 2 symplectic of the one-qubit rearrangement P moving block b
+    to slot local[b]: E_1 P E_1^-1, checked to split off any auxiliary block.
+    """
+    e = block_mixer(kind, 1)
+    p = np.eye(len(local), dtype=np.uint8)[list(local)]
+    conj = mat2(mat2(e, p), invert(e))
+    if len(local) == 3 and (conj[:2, 2:].any() or conj[2:, :2].any()):
+        raise NotDirectSumError("conjugated permutation mixes the auxiliary block")
+    u = conj[:2, :2]
+    if not is_symplectic(u):
+        raise NotSymplecticError("conjugated permutation is not symplectic")
+    u.flags.writeable = False  # cached: every caller gets this array
+    return u
+
+
+def perm_to_symplectic(rep: BlockRep, images) -> np.ndarray:
+    """Symplectic matrix of a structured column permutation.
+
+    Qubit q's 2 x 2 block sits at rows (q, n+q), columns (sigma(q), n+sigma(q)).
+    """
+    n = rep.n
+    local, sigma = _decode_structure(rep, images)
+    u = np.zeros((2 * n, 2 * n), dtype=np.uint8)
+    for q in range(n):
+        u[q::n, sigma[q]::n] = _local_symplectic(rep.kind, local[q])
+    return u
 
 
 def _perm_cycles(sigma: np.ndarray) -> list[list[int]]:
@@ -111,12 +110,10 @@ def _perm_cycles(sigma: np.ndarray) -> list[list[int]]:
 
 @cache
 def _local_gate(kind: RepKind, local: tuple[int, ...]) -> str | None:
-    """The first gate whose symplectic is a one-qubit block rearrangement's.
-
-    The rearrangement moves block b to slot local[b]; an identity
+    """The first gate with a rearrangement's symplectic; an identity
     symplectic (the identity and the Paulis) gives None.
     """
-    u = perm_to_symplectic(build(StabilizerCode([], n=1), kind), local)
+    u = _local_symplectic(kind, local)
     if np.array_equal(u, np.eye(2, dtype=np.uint8)):
         return None
     return next(
@@ -134,8 +131,6 @@ def perm_to_circuit(rep: BlockRep, images) -> CliffordCircuit:
     SWAP(a1,a3), ..., SWAP(a1,am).
     """
     n = rep.n
-    if len(images) != rep.blocks * n:
-        raise DimensionError(f"permutation on {len(images)} columns, expected {rep.blocks * n}")
     local, sigma = _decode_structure(rep, images)
     gates: list[Gate] = []
     for q in range(n):
@@ -174,7 +169,7 @@ def pauli_correct_and_action(t: Tableau, circ: CliffordCircuit) -> LogicalReport
         raise LengthMismatchError(f"circuit on {circ.n} qubits, code on {n}")
     rows = np.array([*t.stab_rows, *t.logical_x_rows, *t.logical_z_rows], dtype=np.int64)
     phases, mapped = circ.propagate(t.phases[rows], t.tau[rows])
-    b = mat2(mapped, t.inverse())
+    b = mat2(mapped, t.inverse)
     a_x = b[:, n - k : n]
     a_z = b[:, 2 * n - k :]
     leaves = b[:, n : 2 * n - k].any(axis=1)
@@ -217,28 +212,24 @@ def correction_is_logical(t: Tableau, report: LogicalReport) -> bool:
     if not report.valid:
         return False
     n, k = t.n, t.k
-    b = mat2(report.pauli_correction.vector()[None, :], t.inverse())[0]
+    b = mat2(report.pauli_correction.vector()[None, :], t.inverse)[0]
     return not b[n : 2 * n - k].any()
 
 
 def verify_preserves_stabilizers(t: Tableau, circ: CliffordCircuit) -> bool:
     """Independent check that each signed check maps to a +1-signed stabilizer.
 
-    Uses row-reduction membership over the stabilizer rows only, sharing no
-    decomposition path with pauli_correct_and_action.
+    Solves the batch of images over the stabilizer rows only, sharing no
+    decomposition path with pauli_correct_and_action (no tableau inverse,
+    no destabilizers), and compares each sign with its solution's product.
     """
-    stab = t.stabilizers
-    for i in t.stab_rows:
-        mapped = circ.conjugate(t.row_pauli(i))
-        coeff = solve_in_span(stab, mapped.vector())
-        if coeff is None:
-            return False
-        prod = PhasedPauli.identity(t.n)
-        for j in np.nonzero(coeff)[0]:
-            prod = prod.multiply(t.row_pauli(int(j)))
-        if prod.phase != mapped.phase:
-            return False
-    return True
+    phases, stab = t.phases[t.stab_rows], t.stabilizers
+    mapped_phases, mapped = circ.propagate(phases, stab)
+    coeffs = solve_in_span(stab, mapped)
+    if coeffs is None:
+        return False
+    prod_phases, _ = row_products(phases, stab, coeffs)
+    return bool(np.array_equal(prod_phases, mapped_phases))
 
 
 @lru_cache(maxsize=8)

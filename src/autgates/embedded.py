@@ -188,10 +188,12 @@ def interpret(emb: EmbeddedCode, circ: CliffordCircuit) -> CliffordCircuit:
     and b, and any other such gate G becomes G_a G_b CZ_ab (Z-type) or
     G_a G_b CXX_ab (X-type): S gives S_a S_b CZ_ab, SQRTX gives
     SQRTX_a SQRTX_b CXX_ab.  A SWAP of a Z-type auxiliary with member b
-    becomes CNOT a->b, of an X-type one CNOT b->a.  SWAPs between
-    auxiliaries, or between an auxiliary and a non-member, drop out here
-    and are vetted by interpretation_sound.  Anything else touching an
-    auxiliary (H in particular) has no counterpart and raises.
+    becomes CNOT a->b, of an X-type one CNOT b->a.  Each auxiliary's pair
+    is tracked through the circuit: a SWAP of two original qubits
+    relabels the pair members, and a SWAP of two auxiliaries exchanges
+    their pairs and drops out.  A SWAP of an auxiliary with a non-member
+    drops out here and is vetted by interpretation_sound.  Anything else
+    touching an auxiliary (H in particular) has no counterpart and raises.
     """
     if circ.n != emb.n + emb.m:
         raise DimensionError(
@@ -199,13 +201,17 @@ def interpret(emb: EmbeddedCode, circ: CliffordCircuit) -> CliffordCircuit:
         )
     n = emb.n
     parity, dual, pair_gate = ("Z", "X", "CZ") if emb.basis == "z" else ("X", "Z", "CXX")
+    pairs = list(emb.spec.pairs)  # current pair of each auxiliary
     out = []
     for gate in circ.gates:
         if all(q < n for q in gate.qubits):
             out.append(gate)
+            if gate.name == "SWAP":
+                relabel = dict(zip(gate.qubits, reversed(gate.qubits)))
+                pairs = [tuple(relabel.get(q, q) for q in pair) for pair in pairs]
             continue
         if len(gate.qubits) == 1:
-            a, b = emb.spec.pairs[gate.qubits[0] - n]
+            a, b = pairs[gate.qubits[0] - n]
             images = dict(zip("XZ", GATES[gate.name].images))
             if images[parity] != parity:
                 raise EmbeddedInterpretationError(
@@ -226,9 +232,10 @@ def interpret(emb: EmbeddedCode, circ: CliffordCircuit) -> CliffordCircuit:
             )
         q0, q1 = gate.qubits
         if q0 >= n and q1 >= n:
+            pairs[q0 - n], pairs[q1 - n] = pairs[q1 - n], pairs[q0 - n]
             continue
         aux, orig = (q0, q1) if q0 >= n else (q1, q0)
-        a, b = emb.spec.pairs[aux - n]
+        a, b = pairs[aux - n]
         if orig not in (a, b):
             continue
         other = a if orig == b else b
@@ -271,7 +278,7 @@ def interpretation_sound(
     aux_x, aux_z = left[:, n : n + m], left[:, 2 * n + m :]
     if (aux_x if emb.basis == "z" else aux_z).any():  # only parity Paulis allowed there
         return False
-    b = mat2(np.hstack([left[:, :n], left[:, n + m : 2 * n + m]]) ^ right, t.inverse())
+    b = mat2(np.hstack([left[:, :n], left[:, n + m : 2 * n + m]]) ^ right, t.inverse)
     if b[:, n - k :].any():
         return False
     g_phases, g = row_products(t.phases, t.tau, b)

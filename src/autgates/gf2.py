@@ -73,21 +73,21 @@ def invert(m: np.ndarray) -> np.ndarray:
 
 
 def solve_in_span(m: np.ndarray, v: np.ndarray) -> np.ndarray | None:
-    """Solve g @ m == v over GF(2); returns g or None if v is not in the span."""
+    """Solve g @ m == v over GF(2) for one row v or a stack of rows.
+
+    Returns g (one coefficient row per row of v), or None if any row of v
+    is outside the span.  In reduced form the coefficient of row i is the
+    entry of v at pivot column i.
+    """
     m = asbits(m)
     v = asbits(v)
-    if v.shape != (m.shape[1],):
+    if v.shape[-1:] != (m.shape[1],):
         raise DimensionError(f"vector length {v.shape} vs {m.shape[1]} columns")
     r, pivots, ops = rref(m)
-    y = v.copy()
-    coeff = np.zeros(m.shape[0], dtype=np.uint8)
-    for i, p in enumerate(pivots):
-        if y[p]:
-            coeff[i] = 1
-            y ^= r[i]
-    if y.any():
+    coeff = v[..., pivots]
+    if (mat2(coeff, r[: len(pivots)]) ^ v).any():
         return None
-    return mat2(coeff[None, :], ops)[0]
+    return mat2(coeff, ops[: len(pivots)])
 
 
 def span_rows(m: np.ndarray, cap: int | None = None) -> np.ndarray:

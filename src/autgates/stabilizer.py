@@ -15,6 +15,7 @@ qubit indices unless it lives inside a StandardForm.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -227,6 +228,7 @@ class Tableau:
     def row_pauli(self, i: int) -> PhasedPauli:
         return PhasedPauli(int(self.phases[i]), self.tau[i, : self.n], self.tau[i, self.n :])
 
+    @cached_property
     def inverse(self) -> np.ndarray:
         return symplectic_inverse(self.tau)
 

@@ -1,7 +1,9 @@
 """Independent oracles for tests.
 
-Dense complex-matrix oracles pin down sign conventions; a block-structured
-brute force checks automorphism groups without the refinement search.
+Dense complex-matrix oracles pin down sign conventions; a dense conjugated
+permutation matrix pins the symplectic of a structured permutation; a
+block-structured brute force checks automorphism groups without the
+refinement search.
 """
 
 from __future__ import annotations
@@ -10,7 +12,9 @@ import itertools
 
 import numpy as np
 
+from autgates.binrep import block_mixer
 from autgates.circuits import CliffordCircuit
+from autgates.gf2 import invert, mat2
 from autgates.pauli import PhasedPauli
 
 _I2 = np.eye(2, dtype=complex)
@@ -114,6 +118,22 @@ def dense_conjugate(circ: CliffordCircuit, p: PhasedPauli) -> PhasedPauli:
     out = decode_pauli(u @ dense_pauli(p) @ u.conj().T, p.n)
     assert out is not None, "conjugation result is not a phased Pauli"
     return out
+
+
+def dense_perm_symplectic(kind, images) -> np.ndarray:
+    """Leading 2n x 2n block of E P E^-1, E the block mixer of ``kind``.
+
+    P has P[i, images[i]] = 1 and acts on row vectors from the right; for
+    three blocks the conjugate must split off the auxiliary block.
+    """
+    width = len(images)
+    n = width // kind.blocks
+    p = np.zeros((width, width), dtype=np.uint8)
+    p[np.arange(width), images] = 1
+    e = block_mixer(kind, n)
+    conj = mat2(mat2(e, p), invert(e))
+    assert not conj[: 2 * n, 2 * n :].any() and not conj[2 * n :, : 2 * n].any()
+    return conj[: 2 * n, : 2 * n]
 
 
 def block_automorphisms(rows, n: int, blocks: int) -> set[tuple[int, ...]]:

@@ -3,17 +3,14 @@
 Every test here exercises a complete user-facing behavior end to end:
 published code facts, discovery group orders, synthesis with exact
 corrections, embedded two-qubit gates, the structured-group formula,
-decomposition roundtrips and the phase-rule oracle.  The long bicycle
-code case is marked stretch and only runs with AUTGATES_STRETCH=1.
+decomposition roundtrips and the phase-rule oracle.
 """
 
 import json
 import math
-import os
 import time
 
 import numpy as np
-import pytest
 
 from autgates.autsearch import matrix_automorphisms
 from autgates.binrep import RepKind, RowSource, build, row_augmented_matrix
@@ -273,11 +270,6 @@ def test_09_phase_rule_oracle_equivalence():
     assert time.perf_counter() - start < 1.0
 
 
-@pytest.mark.stretch
-@pytest.mark.skipif(
-    os.environ.get("AUTGATES_STRETCH") != "1",
-    reason="long bicycle code case; set AUTGATES_STRETCH=1 to run",
-)
 def test_10_bicycle_code_automorphisms():
     d = discover_gates(load("bb72"), RepKind.THREEBLOCK, RowSource.AS_GIVEN)
     assert d.search.complete

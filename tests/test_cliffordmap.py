@@ -9,6 +9,7 @@ from autgates.circuits import (
     CliffordCircuit,
     Gate,
     circuit_from_text,
+    pauli_to_gates,
 )
 from autgates.cliffordmap import (
     action_name,
@@ -16,9 +17,9 @@ from autgates.cliffordmap import (
     pauli_correct_and_action,
     perm_to_circuit,
     perm_to_symplectic,
-    permutation_matrix,
     verify_preserves_stabilizers,
 )
+from autgates.codes import load
 from autgates.errors import (
     AutgatesError,
     DimensionError,
@@ -28,10 +29,11 @@ from autgates.gf2 import is_symplectic
 from autgates.pauli import PhasedPauli
 from autgates.stabilizer import StabilizerCode, tableau
 
-from oracles import dense_conjugate
+from oracles import dense_conjugate, dense_perm_symplectic
 
 FIVE_QUBIT = ["XZZXI", "IXZZX", "XIXZZ", "ZXIXZ"]
 FOUR_TWO_TWO = ["XXXX", "ZZZZ"]
+STEANE = ["IIIXXXX", "IXXIIXX", "XIXIXIX", "IIIZZZZ", "IZZIIZZ", "ZIZIZIZ"]
 
 
 def one_qubit_rep(kind):
@@ -78,7 +80,7 @@ def test_qubit_permutation_gives_swap_blocks():
     for _ in range(10):
         sigma = rng.permutation(n)
         images = [int(b * n + sigma[q]) for b in range(3) for q in range(n)]
-        q_mat = permutation_matrix(sigma)
+        q_mat = np.eye(n, dtype=np.uint8)[sigma]  # q_mat[i, sigma[i]] = 1
         want = np.zeros((2 * n, 2 * n), dtype=np.uint8)
         want[:n, :n] = q_mat
         want[n:, n:] = q_mat
@@ -86,6 +88,22 @@ def test_qubit_permutation_gives_swap_blocks():
         circ = perm_to_circuit(rep, images)
         assert all(g.name == "SWAP" for g in circ.gates)
         assert np.array_equal(circ.symplectic(), want)
+
+
+def test_symplectic_matches_dense_conjugated_permutation():
+    rng = np.random.RandomState(5)
+    for kind in RepKind:
+        for n in range(1, 7):
+            rep = build(StabilizerCode([], n=n), kind)
+            for _ in range(4):
+                sigma = rng.permutation(n)
+                local = [rng.permutation(kind.blocks) for _ in range(n)]
+                images = [
+                    int(local[q][b] * n + sigma[q]) for b in range(kind.blocks) for q in range(n)
+                ]
+                assert np.array_equal(
+                    perm_to_symplectic(rep, images), dense_perm_symplectic(kind, images)
+                )
 
 
 def test_swap_chain_realizes_long_cycle():
@@ -177,6 +195,15 @@ def test_stray_x_needs_correction_and_fails_raw_verify():
     assert not report.pauli_correction.is_identity()
     assert np.array_equal(report.u_act, np.eye(2, dtype=np.uint8))
     assert verify_preserves_stabilizers(t, corrected_circuit(report, circ))
+
+
+@pytest.mark.parametrize("name", ["n4k2d2", "n5k1d3", "steane"])
+def test_verify_rejects_every_destabilizer(name):
+    # destabilizer i flips the sign of stabilizer row i and of no other row
+    code = StabilizerCode.from_strings(STEANE) if name == "steane" else load(name)
+    t = tableau(code)
+    for i in t.stab_rows:
+        assert not verify_preserves_stabilizers(t, pauli_to_gates(t.row_pauli(t.n + i)))
 
 
 def test_single_h_rejected():

@@ -177,6 +177,7 @@ def test_interpret_rules_z_basis(four_qubit):
     assert run(Gate("SWAP", (4, 1))) == "CNOT 0 1"
     assert run(Gate("SWAP", (0, 4))) == "CNOT 1 0"
     assert run(Gate("SWAP", (4, 5))) == "I"
+    assert run(Gate("SWAP", (4, 5)), Gate("S", (4,))) == "S 2; S 3; CZ 2 3"
     assert run(Gate("SWAP", (4, 2))) == "I"  # non-member, vetted separately
     for bad in [Gate("H", (4,)), Gate("SQRTX", (4,)), Gate("X", (4,))]:
         with pytest.raises(EmbeddedInterpretationError):
@@ -245,6 +246,19 @@ def test_sound_compares_exact_signs():
     assert str(interp) == "CNOT 2 0"
     assert interpretation_sound(emb, t, circ, interp)
     assert not interpretation_sound(emb, t, circ, CliffordCircuit(3, (Gate("CNOT", (1, 0)),)))
+
+
+def test_interpret_tracks_pair_members_through_swaps():
+    # SWAP 2 1 moves member 2 of the (0, 2) pair to qubit 1, so the
+    # auxiliary swap with member 0 is CNOT 1->0 in the relabelled frame
+    code = StabilizerCode.from_strings(["XZZ", "ZXI"])
+    emb = embed(code, EmbeddingSpec(3, ((0, 2),)))
+    circ = CliffordCircuit(
+        4, (Gate("SWAP", (2, 1)), Gate("SWAP", (0, 3)), Gate("SWAP", (1, 2)))
+    )
+    interp = interpret(emb, circ)
+    assert str(interp) == "SWAP 2 1; CNOT 1 0; SWAP 1 2"
+    assert interpretation_sound(emb, tableau(code), circ, interp)
 
 
 def test_unsound_swap_with_free_qubit(four_qubit):

@@ -65,14 +65,18 @@ def test_solve_in_span_matches_exhaustive_enumeration():
         for combo in itertools.product([0, 1], repeat=rows):
             v = gf2.mat2(np.array([combo], dtype=np.uint8), m)[0]
             span.add(v.tobytes())
-        for combo in itertools.product([0, 1], repeat=cols):
-            v = np.array(combo, dtype=np.uint8)
+        every = np.array(list(itertools.product([0, 1], repeat=cols)), dtype=np.uint8)
+        for v in every:
             g = gf2.solve_in_span(m, v)
             if v.tobytes() in span:
                 assert g is not None
                 assert np.array_equal(gf2.mat2(g[None, :], m)[0], v)
             else:
                 assert g is None
+        # a stack is solved row by row, and fails if any row is outside
+        inside = np.array([v for v in every if v.tobytes() in span])
+        assert np.array_equal(gf2.mat2(gf2.solve_in_span(m, inside), m), inside)
+        assert (gf2.solve_in_span(m, every) is None) == (len(inside) < len(every))
 
 
 def test_span_rows_counts_and_membership():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from autgates.errors import LengthMismatchError, ParseError
-from autgates.pauli import PhasedPauli
+from autgates.pauli import PhasedPauli, row_products
 
 from oracles import decode_pauli, dense_pauli
 
@@ -66,3 +66,25 @@ def test_vector_roundtrip():
     q = PhasedPauli.from_vector(p.vector(), phase=p.phase)
     assert p == q
     assert np.array_equal(p.vector()[:4], p.x)
+
+
+def test_row_products_match_multiply_chain():
+    rng = np.random.RandomState(17)
+    anticommuting = 0
+    for _ in range(40):
+        n, m = rng.randint(1, 5), rng.randint(1, 7)
+        phases = rng.randint(4, size=m)
+        rows = rng.randint(0, 2, size=(m, 2 * n))
+        coeffs = rng.randint(0, 2, size=(5, m))
+        paulis = [PhasedPauli.from_vector(row, int(ph)) for ph, row in zip(phases, rows)]
+        got_phases, got_rows = row_products(phases, rows, coeffs)
+        for c, phase, row in zip(coeffs, got_phases, got_rows):
+            chosen = [paulis[j] for j in np.nonzero(c)[0]]
+            want = PhasedPauli.identity(n)
+            for p in chosen:
+                want = want.multiply(p)
+            assert PhasedPauli.from_vector(row, int(phase)) == want
+            anticommuting += sum(
+                not p.commutes_with(q) for i, p in enumerate(chosen) for q in chosen[i + 1 :]
+            )
+    assert anticommuting > 0
