@@ -18,7 +18,6 @@ from .embedded import (
     embed,
     interpret,
     interpretation_sound,
-    lift_pauli,
     parse_pairs_file,
 )
 from .errors import (
@@ -82,7 +81,6 @@ __all__ = [
     "embed",
     "interpret",
     "interpretation_sound",
-    "lift_pauli",
     "load",
     "parse_action_matrix",
     "parse_code_file",

@@ -18,8 +18,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from .binrep import RepKind, RowSource
 from .circuits import CliffordCircuit, circuit_from_text, circuit_to_qasm
 from .cliffordmap import (
@@ -83,14 +81,17 @@ def _load_code(arg: str):
 
 def _budget_ms(args) -> float:
     if getattr(args, "budget", None) is not None:
-        return float(args.budget)
-    env = os.environ.get("AUTGATES_BUDGET_MS")
-    if env is not None:
-        try:
-            return float(env)
-        except ValueError:
-            raise ParseError("AUTGATES_BUDGET_MS must be a number, got %r" % env) from None
-    return DEFAULT_BUDGET_MS
+        budget, source = args.budget, "--budget"
+    else:
+        budget = os.environ.get("AUTGATES_BUDGET_MS", DEFAULT_BUDGET_MS)
+        source = "AUTGATES_BUDGET_MS"
+    try:
+        budget = float(budget)
+    except ValueError:
+        raise ParseError("%s must be a number, got %r" % (source, budget)) from None
+    if not budget >= 0:  # also rejects nan, which no deadline comparison would end
+        raise ParseError("%s must be a number >= 0, got %r" % (source, budget))
+    return budget
 
 
 def _bits(row) -> str:

@@ -37,6 +37,7 @@ from .errors import (
 )
 from .gf2 import asbits, invert, is_symplectic, mat2, solve_in_span
 from .pauli import PhasedPauli, row_products
+from .permgroup import cycles
 from .stabilizer import Tableau
 
 
@@ -88,26 +89,6 @@ def perm_to_symplectic(rep: BlockRep, images) -> np.ndarray:
     return u
 
 
-def _perm_cycles(sigma: np.ndarray) -> list[list[int]]:
-    """Nontrivial cycles [a1, a2, ...] with sigma[ai] = a(i+1)."""
-    seen = [False] * len(sigma)
-    cycles: list[list[int]] = []
-    for start in range(len(sigma)):
-        if seen[start]:
-            continue
-        seen[start] = True
-        if sigma[start] == start:
-            continue
-        cyc = [start]
-        nxt = int(sigma[start])
-        while nxt != start:
-            seen[nxt] = True
-            cyc.append(nxt)
-            nxt = int(sigma[nxt])
-        cycles.append(cyc)
-    return cycles
-
-
 @cache
 def _local_gate(kind: RepKind, local: tuple[int, ...]) -> str | None:
     """The first gate with a rearrangement's symplectic; an identity
@@ -137,7 +118,7 @@ def perm_to_circuit(rep: BlockRep, images) -> CliffordCircuit:
         name = _local_gate(rep.kind, local[q])
         if name is not None:
             gates.append(Gate(name, (q,)))
-    for cyc in _perm_cycles(sigma):
+    for cyc in cycles(sigma):
         gates.extend(Gate("SWAP", (cyc[0], other)) for other in cyc[1:])
     circ = CliffordCircuit(n, tuple(gates))
     if not np.array_equal(circ.symplectic(), perm_to_symplectic(rep, images)):  # pragma: no cover

@@ -17,6 +17,12 @@ parities,
           [  M    I    0      0    ]
 
 so that SQRTX on an auxiliary corresponds to SQRTX_a SQRTX_b CXX_ab.
+Both forms are built by the embedding circuit, CNOTs from the pair
+members onto each Z-type auxiliary (from each X-type auxiliary onto its
+members): the checks, padded with the identity on the auxiliaries, and
+one Z (X) on each auxiliary go through it in one batch, so lifted checks
+keep their signs and parity checks are +.
+
 Automorphism discovery runs on the embedded code; interpretation maps
 each embedded circuit back to the original qubits and is then checked
 semantically: the interpreted circuit must move every lifted stabilizer
@@ -115,44 +121,18 @@ class EmbeddedCode:
     def m(self) -> int:
         return self.spec.m
 
-    @property
-    def g_v(self) -> np.ndarray:
-        return self.code.check_matrix
 
-    def aux_pauli(self, j: int) -> PhasedPauli:
-        """The parity stabilizer of auxiliary j."""
-        row = np.zeros(self.n + self.m, dtype=np.uint8)
-        a, b = self.spec.pairs[j]
-        row[a] = row[b] = 1
-        row[self.n + j] = 1
-        zero = np.zeros(self.n + self.m, dtype=np.uint8)
-        if self.basis == "z":
-            return PhasedPauli(0, zero, row)
-        return PhasedPauli(0, row, zero)
-
-
-def lift_pauli(emb: EmbeddedCode, p: PhasedPauli) -> PhasedPauli:
-    """Conjugate p through the embedding circuit, exactly.
-
-    With Z-type auxiliaries each X factor copies onto the auxiliaries of
-    its pairs; with X-type auxiliaries the Z factors do.  The phase
-    exponent is unchanged in both cases.
-    """
-    if p.n != emb.n:
-        raise DimensionError("pauli acts on %d qubits, expected %d" % (p.n, emb.n))
-    mt = emb.spec.matrix.T
-    zero = np.zeros(emb.m, dtype=np.uint8)
-    if emb.basis == "z":
-        x = np.concatenate([p.x, mat2(p.x[None, :], mt)[0]])
-        z = np.concatenate([p.z, zero])
-    else:
-        x = np.concatenate([p.x, zero])
-        z = np.concatenate([p.z, mat2(p.z[None, :], mt)[0]])
-    return PhasedPauli(p.phase, x, z)
+def _pad(rows: np.ndarray, n: int, m: int) -> np.ndarray:
+    """(x|z) rows on n qubits, padded with the identity on m auxiliaries."""
+    out = np.zeros((len(rows), 2 * (n + m)), dtype=np.uint8)
+    out[:, :n] = rows[:, :n]
+    out[:, n + m : 2 * n + m] = rows[:, n:]
+    return out
 
 
 def embedding_circuit(emb: EmbeddedCode) -> CliffordCircuit:
-    """CNOT realization of the embedding, for oracle checks."""
+    """The embedding: CNOTs from each pair onto its Z-type auxiliary, or
+    from an X-type auxiliary onto its pair."""
     gates = []
     for j, (a, b) in enumerate(emb.spec.pairs):
         aux = emb.n + j
@@ -166,15 +146,21 @@ def embedding_circuit(emb: EmbeddedCode) -> CliffordCircuit:
 
 
 def embed(code: StabilizerCode, spec: EmbeddingSpec, basis: str = "z") -> EmbeddedCode:
-    """Adjoin one parity auxiliary per pair to the code."""
+    """Adjoin one parity auxiliary per pair: the padded checks and one
+    parity Pauli per auxiliary, pushed through the embedding circuit."""
     if spec.n != code.n:
         raise DimensionError("spec is for n=%d, code has n=%d" % (spec.n, code.n))
     if basis not in ("z", "x"):
         raise DimensionError("basis must be 'z' or 'x'")
     emb = EmbeddedCode(base=code, spec=spec, basis=basis, code=code)
-    checks = [lift_pauli(emb, c) for c in code.checks]
-    checks += [emb.aux_pauli(j) for j in range(spec.m)]
-    emb.code = StabilizerCode(checks, n=code.n + spec.m)
+    n, m = code.n, spec.m
+    parity = np.eye(m, 2 * (n + m), n + (n + m if basis == "z" else 0), dtype=np.uint8)
+    rows = np.vstack([_pad(code.check_matrix, n, m), parity])
+    phases = [c.phase for c in code.checks] + [0] * m
+    phases, rows = embedding_circuit(emb).propagate(phases, rows)
+    emb.code = StabilizerCode(
+        [PhasedPauli.from_vector(row, ph) for ph, row in zip(phases, rows)], n=n + m
+    )
     return emb
 
 
@@ -269,11 +255,10 @@ def interpretation_sound(
     n, m, k = emb.n, emb.m, t.k
     rows = [*t.stab_rows, *t.logical_x_rows, *t.logical_z_rows]
     phases, bits = t.phases[rows], t.tau[rows]
-    padded = np.zeros((len(rows), 2 * (n + m)), dtype=np.uint8)
-    padded[:, :n] = bits[:, :n]
-    padded[:, n + m : 2 * n + m] = bits[:, n:]
     lift = embedding_circuit(emb)
-    left_phases, left = (lift + embedded_circ + lift.inverse()).propagate(phases, padded)
+    left_phases, left = (lift + embedded_circ + lift.inverse()).propagate(
+        phases, _pad(bits, n, m)
+    )
     right_phases, right = interp.propagate(phases, bits)
     aux_x, aux_z = left[:, n : n + m], left[:, 2 * n + m :]
     if (aux_x if emb.basis == "z" else aux_z).any():  # only parity Paulis allowed there
@@ -322,7 +307,6 @@ def discover_embedded_gates(
     spec: EmbeddingSpec,
     kind: RepKind = RepKind.SSWAP,
     rows: RowSource = RowSource.AS_GIVEN,
-    max_nodes: int | None = None,
     deadline: float | None = None,
 ) -> EmbeddedDiscovery:
     """Automorphism discovery on the embedded code, mapped back and verified.
@@ -338,9 +322,7 @@ def discover_embedded_gates(
     emb = embed(code, spec, basis=basis)
     rep = build(emb.code, kind)
     mat, colors = row_augmented_matrix(rep, rows)
-    search = matrix_automorphisms(
-        mat, colors, max_nodes=max_nodes, deadline=deadline
-    )
+    search = matrix_automorphisms(mat, colors, deadline=deadline)
     t = tableau(code)
     candidates = list(search.generators)
     if kind is not RepKind.HSWAP:

@@ -193,7 +193,6 @@ def discover_gates(
     code: StabilizerCode,
     kind: RepKind = RepKind.THREEBLOCK,
     rows: RowSource = RowSource.AS_GIVEN,
-    max_nodes: int | None = None,
     deadline: float | None = None,
 ) -> DiscoveryResult:
     """Run representation, automorphism search, lifting and correction.
@@ -204,9 +203,7 @@ def discover_gates(
     """
     rep = build(code, kind)
     mat, colors = row_augmented_matrix(rep, rows)
-    search = matrix_automorphisms(
-        mat, colors, max_nodes=max_nodes, deadline=deadline
-    )
+    search = matrix_automorphisms(mat, colors, deadline=deadline)
     t = tableau(code)
     group = LogicalActionGroup(t.k)
     gates = []

@@ -39,21 +39,26 @@ def invert_images(p):
     return tuple(inv)
 
 
-def cycle_string(images):
-    """Format a permutation in disjoint cycle notation, e.g. "(0 3)(1 2)"."""
+def cycles(images) -> list[list[int]]:
+    """Nontrivial cycles [a1, a2, ...] with images[ai] = a(i+1), by first point."""
     seen = set()
-    parts = []
+    out = []
     for i in range(len(images)):
         if i in seen or images[i] == i:
             continue
         cycle = [i]
-        j = images[i]
+        j = int(images[i])
         while j != i:
             seen.add(j)
             cycle.append(j)
-            j = images[j]
-        parts.append("(%s)" % " ".join(str(c) for c in cycle))
-    return "".join(parts) if parts else "()"
+            j = int(images[j])
+        out.append(cycle)
+    return out
+
+
+def cycle_string(images):
+    """Format a permutation in disjoint cycle notation, e.g. "(0 3)(1 2)"."""
+    return "".join("(%s)" % " ".join(map(str, c)) for c in cycles(images)) or "()"
 
 
 class _Element:

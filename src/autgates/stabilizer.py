@@ -1,12 +1,17 @@
 """Stabilizer codes: check matrices, standard form, logicals, tableaus.
 
-The standard form is computed by Gaussian elimination with leftmost-pivot
-selection plus a qubit permutation, giving
+The standard form (Gottesman's) is reached by two reductions with
+leftmost pivots plus a qubit permutation, giving
 
     G_std = [ I A1 A2 | B  0 C1 ]      (r rows)
             [ 0 0  0  | D  I C2 ]      (s rows)
 
-with column blocks of widths (r, s, k), k = n - r - s.  Logical Paulis and
+with column blocks of widths (r, s, k), k = n - r - s.  The first
+reduction brings the X part to reduced echelon form (r, X pivots); the
+second reduces, on the other columns, the Z part of the rows whose X part
+vanished (s, Z pivots); adding Z-pivot rows into the X-pivot rows clears
+the 0 block.  Every sign comes from one batched signed product of the
+original checks over the combined row operations.  Logical Paulis and
 destabilizers are read off the blocks in the permuted frame, then mapped back
 to original qubit order; every matrix this module hands out is in original
 qubit indices unless it lives inside a StandardForm.
@@ -26,8 +31,8 @@ from .errors import (
     NotSymplecticError,
     ParseError,
 )
-from .gf2 import asbits, mat2, symplectic_form, symplectic_inverse
-from .pauli import PhasedPauli
+from .gf2 import asbits, is_symplectic, mat2, rref, symplectic_inverse
+from .pauli import PhasedPauli, row_products
 
 
 class StabilizerCode:
@@ -43,12 +48,13 @@ class StabilizerCode:
                 raise DimensionError(f"check {idx} acts on {c.n} qubits, expected {n}")
             if c.phase % 2:
                 raise ParseError(f"check {idx} has imaginary phase: {c.to_string()}")
-        for i in range(len(checks)):
-            for j in range(i + 1, len(checks)):
-                if not checks[i].commutes_with(checks[j]):
-                    raise NonCommutingChecksError(i, j)
         self.checks = list(checks)
         self.n = n
+        m = self.check_matrix
+        gram = mat2(m[:, :n], m[:, n:].T)
+        clash = np.argwhere(np.triu(gram ^ gram.T, 1))
+        if clash.size:
+            raise NonCommutingChecksError(int(clash[0, 0]), int(clash[0, 1]))
 
     @property
     def check_matrix(self) -> np.ndarray:
@@ -64,13 +70,6 @@ class StabilizerCode:
 
     def __repr__(self) -> str:
         return f"StabilizerCode(n={self.n}, checks={[c.to_string() for c in self.checks]})"
-
-
-def _row_add(x, z, ph, dst: int, src: int) -> None:
-    """rows[dst] *= rows[src] with the Pauli product phase rule."""
-    ph[dst] = (ph[dst] + ph[src] + 2 * int(np.count_nonzero(z[dst] & x[src]))) % 4
-    x[dst] ^= x[src]
-    z[dst] ^= z[src]
 
 
 @dataclass
@@ -109,64 +108,26 @@ class StandardForm:
 
 
 def standard_form(code: StabilizerCode) -> StandardForm:
-    """Gaussian elimination + qubit permutation to the standard block form."""
+    """Two leftmost-pivot reductions + qubit permutation to the standard block form."""
     n = code.n
     m = code.check_matrix
-    x = m[:, :n].copy()
-    z = m[:, n:].copy()
-    ph = [c.phase for c in code.checks]
-    nrows = x.shape[0]
-
-    order: list[int] = []  # row indices in echelon order
-    used: set[int] = set()
-    piv_x: list[int] = []
-    for col in range(n):
-        pivot = next((i for i in range(nrows) if i not in used and x[i, col]), None)
-        if pivot is None:
-            continue
-        for i in range(nrows):
-            if i != pivot and x[i, col]:
-                _row_add(x, z, ph, i, pivot)
-        used.add(pivot)
-        order.append(pivot)
-        piv_x.append(col)
+    _, piv_x, ops = rref(m[:, :n])
     r = len(piv_x)
-
-    piv_z: list[int] = []
-    for col in range(n):
-        if col in piv_x:
-            continue
-        pivot = next(
-            (i for i in range(nrows) if i not in used and not x[i].any() and z[i, col]),
-            None,
-        )
-        if pivot is None:
-            continue
-        for i in range(nrows):
-            if i != pivot and z[i, col]:
-                _row_add(x, z, ph, i, pivot)
-        used.add(pivot)
-        order.append(pivot)
-        piv_z.append(col)
+    rows = mat2(ops, m)
+    free = [q for q in range(n) if q not in piv_x]
+    _, piv, z_ops = rref(rows[r:, n:][:, free])
+    piv_z = [free[c] for c in piv]
     s = len(piv_z)
-    k = n - r - s
-
-    leftover = [i for i in range(nrows) if i not in used]
-    for i in leftover:
-        if x[i].any() or z[i].any():  # pragma: no cover - elimination is complete
-            raise DimensionError("row reduction left a nonzero dependent row")
-        if ph[i] % 4 != 0:
-            raise InconsistentSignsError("checks multiply to -identity")
-
-    perm = np.array(piv_x + piv_z + [q for q in range(n) if q not in piv_x and q not in piv_z],
-                    dtype=np.int64)
-    rows = np.array(order, dtype=np.int64)
-    g_std = np.zeros((r + s, 2 * n), dtype=np.uint8)
-    if order:
-        g_std[:, :n] = x[rows][:, perm]
-        g_std[:, n:] = z[rows][:, perm]
-    phases = np.array([ph[i] for i in order], dtype=np.int64)
-    return StandardForm(n=n, r=r, s=s, k=k, g_std=g_std, phases=phases, qubit_perm=perm)
+    coeffs = np.vstack([ops[:r], mat2(z_ops, ops[r:])])
+    coeffs[:r] ^= mat2(rows[:r, n:][:, piv_z], coeffs[r : r + s])
+    phases, g = row_products([c.phase for c in code.checks], m, coeffs)
+    if phases[r + s :].any():
+        raise InconsistentSignsError("checks multiply to -identity")
+    perm = np.array(piv_x + piv_z + [q for q in free if q not in piv_z], dtype=np.int64)
+    g_std = g[: r + s][:, np.concatenate([perm, n + perm])]
+    return StandardForm(
+        n=n, r=r, s=s, k=n - r - s, g_std=g_std, phases=phases[: r + s], qubit_perm=perm
+    )
 
 
 def logical_paulis(sf: StandardForm) -> tuple[np.ndarray, np.ndarray]:
@@ -217,14 +178,6 @@ class Tableau:
     def stabilizers(self) -> np.ndarray:
         return self.tau[: self.n - self.k]
 
-    @property
-    def logical_x(self) -> np.ndarray:
-        return self.tau[self.n - self.k : self.n]
-
-    @property
-    def logical_z(self) -> np.ndarray:
-        return self.tau[2 * self.n - self.k :]
-
     def row_pauli(self, i: int) -> PhasedPauli:
         return PhasedPauli(int(self.phases[i]), self.tau[i, : self.n], self.tau[i, self.n :])
 
@@ -243,8 +196,7 @@ def tableau(code: StabilizerCode) -> Tableau:
     tau = np.vstack([g, lx, dst, lz])
     phases = np.zeros(2 * n, dtype=np.int64)
     phases[: n - k] = sf.phases
-    omega = symplectic_form(n)
-    if not np.array_equal(mat2(mat2(tau, omega), tau.T), omega):  # pragma: no cover
+    if not is_symplectic(tau):  # pragma: no cover
         raise NotSymplecticError("assembled tableau is not symplectic")
     return Tableau(n=n, k=k, tau=asbits(tau), phases=phases)
 

@@ -284,6 +284,27 @@ def test_gates_bad_budget_env(monkeypatch, capsys):
     assert "AUTGATES_BUDGET_MS" in err
 
 
+@pytest.mark.parametrize("budget", ["nan", "-1"])
+def test_gates_rejects_budget_that_is_not_nonnegative(capsys, budget):
+    # a nan deadline never expires and a negative one has always expired
+    rc, out, err = run(capsys, ["gates", "n4k2d2", "--budget", budget])
+    assert (rc, out) == (3, "")
+    assert "--budget must be a number >= 0" in err
+
+
+def test_gates_rejects_nan_budget_env(monkeypatch, capsys):
+    monkeypatch.setenv("AUTGATES_BUDGET_MS", "nan")
+    rc, out, err = run(capsys, ["gates", "n4k2d2"])
+    assert (rc, out) == (3, "")
+    assert "AUTGATES_BUDGET_MS must be a number >= 0" in err
+
+
+def test_gates_zero_budget_is_exceeded(capsys):
+    rc, out, _ = run(capsys, ["gates", "n4k2d2", "--budget", "0"])
+    assert rc == 4
+    assert "incomplete" in out
+
+
 def test_find_gate_cnot(capsys):
     rc, out, _ = run(capsys, ["find-gate", "n4k2d2", "--target", "CNOT(0,1)"])
     assert rc == 0

@@ -9,10 +9,8 @@ from autgates.embedded import (
     all_pairs,
     discover_embedded_gates,
     embed,
-    embedding_circuit,
     interpret,
     interpretation_sound,
-    lift_pauli,
     parse_pairs_file,
 )
 from autgates.errors import (
@@ -21,7 +19,6 @@ from autgates.errors import (
     ParseError,
 )
 from autgates.logsearch import LogicalActionGroup, discover_gates, parse_target
-from autgates.pauli import PhasedPauli
 from autgates.stabilizer import StabilizerCode, tableau
 
 FOUR_QUBIT = ["XXXX", "ZZZZ"]
@@ -44,12 +41,6 @@ def bits(rows):
     return np.array(
         [[int(c) for c in row.replace(" ", "")] for row in rows], dtype=np.uint8
     )
-
-
-def padded(p, m):
-    """Extend a Pauli with identity on m auxiliary qubits."""
-    zeros = np.zeros(m, dtype=np.uint8)
-    return PhasedPauli(p.phase, np.concatenate([p.x, zeros]), np.concatenate([p.z, zeros]))
 
 
 @pytest.fixture(scope="module")
@@ -102,7 +93,7 @@ def test_embedded_check_matrix_matches_worked_example(four_qubit):
     emb = embed(four_qubit, all_pairs(4))
     assert emb.basis == "z"
     assert emb.n == 4 and emb.m == 6
-    assert np.array_equal(emb.g_v, bits(FOUR_QUBIT_ALL_PAIRS_CHECKS))
+    assert np.array_equal(emb.code.check_matrix, bits(FOUR_QUBIT_ALL_PAIRS_CHECKS))
 
 
 def test_embedded_check_matrix_small_cases():
@@ -126,41 +117,47 @@ def test_embed_validates_spec_and_basis(four_qubit):
         embed(four_qubit, all_pairs(4), basis="y")
 
 
-def test_lift_matches_embedding_circuit(four_qubit):
-    rng = np.random.RandomState(7)
-    for basis in ("z", "x"):
-        emb = embed(four_qubit, all_pairs(4), basis=basis)
-        circ = embedding_circuit(emb)
-        assert circ.conjugate(circ.conjugate(padded(four_qubit.checks[0], 6))) == padded(
-            four_qubit.checks[0], 6
-        )  # self-inverse
-        for _ in range(40):
-            p = PhasedPauli(
-                int(rng.randint(4)), rng.randint(2, size=4), rng.randint(2, size=4)
-            )
-            assert lift_pauli(emb, p) == circ.conjugate(padded(p, 6))
+def block_formula(code, spec, basis):
+    """G_V of the module docstring, assembled from G_X, G_Z and M."""
+    n, c, m = code.n, len(code.checks), spec.m
+    gx, gz = code.check_matrix[:, :n], code.check_matrix[:, n:]
+    mat, eye = spec.matrix, np.eye(m, dtype=np.uint8)
+
+    def zero(rows, cols):
+        return np.zeros((rows, cols), dtype=np.uint8)
+
+    if basis == "z":
+        return np.block([[gx, gx @ mat.T % 2, gz, zero(c, m)], [zero(m, n), zero(m, m), mat, eye]])
+    return np.block([[gx, zero(c, m), gz, gz @ mat.T % 2], [mat, eye, zero(m, n), zero(m, m)]])
 
 
-def test_lift_exhaustive_single_pair():
-    code = StabilizerCode.from_strings(["XX"])
-    for basis in ("z", "x"):
-        emb = embed(code, EmbeddingSpec(2, ((0, 1),)), basis=basis)
-        circ = embedding_circuit(emb)
-        for phase in range(4):
-            for xbits in range(4):
-                for zbits in range(4):
-                    p = PhasedPauli(
-                        phase,
-                        [(xbits >> 1) & 1, xbits & 1],
-                        [(zbits >> 1) & 1, zbits & 1],
-                    )
-                    assert lift_pauli(emb, p) == circ.conjugate(padded(p, 1))
+PIN_CODES = {
+    "n4k2d2": FOUR_QUBIT,
+    "n5k1d3": ["XZZXI", "IXZZX", "XIXZZ", "ZXIXZ"],
+    "steane": ["IIIXXXX", "IXXIIXX", "XIXIXIX", "IIIZZZZ", "IZZIIZZ", "ZIZIZIZ"],
+    "signed_y": ["-YYII", "XXXX", "-ZZZZ"],
+}
 
 
-def test_lift_rejects_wrong_width(four_qubit):
-    emb = embed(four_qubit, all_pairs(4))
-    with pytest.raises(DimensionError):
-        lift_pauli(emb, PhasedPauli.from_string("XXX"))
+@pytest.mark.parametrize("basis", ["z", "x"])
+@pytest.mark.parametrize("name", sorted(PIN_CODES))
+def test_embed_matches_block_formula(name, basis):
+    code = StabilizerCode.from_strings(PIN_CODES[name])
+    full = all_pairs(code.n)
+    specs = [full] + [EmbeddingSpec(code.n, (pair,)) for pair in full.pairs]
+    for spec in specs:
+        emb = embed(code, spec, basis=basis)
+        assert np.array_equal(emb.code.check_matrix, block_formula(code, spec, basis))
+        # lifted checks keep their sign, parity checks are +
+        want = [c.phase for c in code.checks] + [0] * spec.m
+        assert [c.phase for c in emb.code.checks] == want
+    if name == "signed_y":
+        emb = embed(code, EmbeddingSpec(4, ((0, 2),)), basis=basis)
+        want = {
+            "z": ["-YYIIX", "XXXXI", "-ZZZZI", "ZIZIZ"],
+            "x": ["-YYIIZ", "XXXXI", "-ZZZZI", "XIXIX"],
+        }
+        assert [c.to_string() for c in emb.code.checks] == want[basis]
 
 
 def test_interpret_rules_z_basis(four_qubit):

@@ -11,6 +11,7 @@ from autgates.permgroup import (
     PermGroup,
     StabilizerChain,
     cycle_string,
+    cycles,
     invert_images,
 )
 
@@ -152,6 +153,8 @@ def test_cycle_string_formats():
     assert cycle_string((0, 1, 2)) == "()"
     assert cycle_string((1, 0, 2)) == "(0 1)"
     assert cycle_string((1, 2, 0, 4, 3)) == "(0 1 2)(3 4)"
+    assert cycles((3, 1, 0, 2, 5, 4)) == [[0, 3, 2], [4, 5]]
+    assert cycles(np.array([0, 1])) == []
     assert invert_images((1, 2, 0)) == (2, 0, 1)
 
 

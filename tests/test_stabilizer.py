@@ -3,12 +3,13 @@ import random
 import numpy as np
 import pytest
 
+from autgates.circuits import ONE_QUBIT_GATES, TWO_QUBIT_GATES, CliffordCircuit, Gate
 from autgates.errors import (
     InconsistentSignsError,
     NonCommutingChecksError,
     ParseError,
 )
-from autgates.gf2 import mat2, rref, symplectic_form
+from autgates.gf2 import mat2, rank, rref, symplectic_form
 from autgates.pauli import PhasedPauli
 from autgates.stabilizer import (
     StabilizerCode,
@@ -135,6 +136,10 @@ def test_anticommuting_checks_rejected():
     with pytest.raises(NonCommutingChecksError) as err:
         StabilizerCode.from_strings(["XX", "ZI"])
     assert err.value.rows == (0, 1)
+    # the first clashing pair in row-major order, not the first in j
+    with pytest.raises(NonCommutingChecksError) as err:
+        StabilizerCode.from_strings(["ZZ", "ZI", "XI", "IX"])
+    assert err.value.rows == (0, 2)
 
 
 def test_inconsistent_signs_rejected():
@@ -177,3 +182,66 @@ def test_random_css_codes_roundtrip():
         got = rref(t.stabilizers)[0]
         nz = orig[orig.any(axis=1)]
         assert np.array_equal(nz, got[got.any(axis=1)] if got.size else got)
+
+
+def random_signed_code(rng, n):
+    """Signed Z_i checks pushed through a random Clifford circuit, plus
+    dependent products, shuffled.
+
+    Checks are taken with an even number of Y factors (even phase
+    exponent), the only ones StabilizerCode accepts: an odd image is
+    replaced by its product with the first odd image, which is dropped.
+    """
+    gates = []
+    for _ in range(rng.randrange(4 * n + 1)):
+        if n > 1 and rng.random() < 0.4:
+            gates.append(Gate(rng.choice(TWO_QUBIT_GATES), tuple(rng.sample(range(n), 2))))
+        else:
+            gates.append(Gate(rng.choice(ONE_QUBIT_GATES), (rng.randrange(n),)))
+    circ = CliffordCircuit(n, tuple(gates))
+    z = [PhasedPauli(2 * rng.randrange(2), [0] * n, np.eye(n)[i]) for i in range(n)]
+    images = [circ.conjugate(p) for p in z[: rng.randrange(n + 1)]]
+    odd = [p for p in images if p.phase % 2]
+    checks = [p for p in images if p.phase % 2 == 0] + [p.multiply(odd[0]) for p in odd[1:]]
+    for _ in range(rng.randrange(4) if checks else 0):
+        prod = PhasedPauli.identity(n)
+        for p in rng.sample(checks, rng.randrange(1, len(checks) + 1)):
+            prod = prod.multiply(p)
+        checks.append(prod)
+    rng.shuffle(checks)
+    return checks
+
+
+def test_standard_form_of_random_signed_codes():
+    rng = random.Random(2024)
+    seen_s = 0
+    for _ in range(150):
+        n = rng.randrange(1, 9)
+        checks = random_signed_code(rng, n)
+        code = StabilizerCode(checks, n=n)
+        sf = standard_form(code)
+        r, s, k = sf.r, sf.s, sf.k
+        g = code.check_matrix
+        assert (r, r + s, k) == (rank(g[:, :n]), rank(g), n - r - s)
+        seen_s += s > 0
+        gx, gz = sf.g_std[:, :n], sf.g_std[:, n:]
+        assert np.array_equal(gx[:r, :r], np.eye(r))
+        assert not gz[:r, r : r + s].any()
+        assert not gx[r:].any()
+        assert np.array_equal(gz[r:, r : r + s], np.eye(s))
+        assert sorted(sf.qubit_perm) == list(range(n))
+        # each check is, with its sign, the product of the rows its own
+        # X bits (at the r pivots) and Z bits (at the s pivots) select
+        rows = [PhasedPauli.from_vector(v, ph) for v, ph in zip(sf.unpermute(sf.g_std), sf.phases)]
+        for c in checks:
+            x, z = c.x[sf.qubit_perm], c.z[sf.qubit_perm]
+            prod = PhasedPauli.identity(n)
+            for row, bit in zip(rows, np.concatenate([x[:r], z[r : r + s]])):
+                if bit:
+                    prod = prod.multiply(row)
+            assert prod == c
+        if checks:
+            flipped = checks + [PhasedPauli(checks[0].phase + 2, checks[0].x, checks[0].z)]
+            with pytest.raises(InconsistentSignsError):
+                standard_form(StabilizerCode(flipped, n=n))
+    assert seen_s > 20
