@@ -5,14 +5,23 @@ The chain code is generic over the element type: anything that supports
 can be used.  Both element types provided here hold an element as the
 tuple of the images of its basis points, so ``compose``,
 ``is_identity`` and ``moved_point`` are written once for both; a type
-supplies only its basis points, ``act`` and ``inverse``.
+supplies only its basis points, ``act`` and ``inverse``, and
+``PermElement`` composes by indexing its images instead of ``act``.
 ``PermElement`` permutes ``range(degree)`` and its basis points are
 ``0..d-1``.  ``MatrixElement`` is an invertible binary matrix acting on
 row vectors encoded as integers; its basis points are the unit vectors
 ``1 << i``, so its images are the matrix rows packed into Python ints
 of any width.  An element computes its inverse at most once and keeps
 it, since sifting divides by the same transversal elements over and
-over.
+over; a matrix is inverted by Gauss-Jordan elimination on those ints.
+
+Each chain level remembers the Schreier generators u*s*v^-1 it has
+already passed to the level below, keyed by the images of u, s and v,
+and never composes or sifts one again.  Skipping one cannot change the
+chain: when ``add`` returns, the level below is complete for the group
+it holds, and that group only grows, so a generator sifted once sifts
+to the identity ever after and would change nothing.  Trees, strong
+generators and ``express`` words are those of the plain algorithm.
 
 Every element carries a word in the user's generators as a tuple of
 ``(generator_index, exponent)`` pairs with exponent +1 or -1, read left
@@ -23,7 +32,8 @@ the requested permutation or matrix.
 
 import numpy as np
 
-from .gf2 import asbits, invert
+from .errors import SingularMatrixError
+from .gf2 import asbits
 
 
 def invert_word(word):
@@ -102,6 +112,11 @@ class PermElement(_Element):
     def act(self, point):
         return self.images[point]
 
+    def compose(self, other):
+        return PermElement(
+            map(other.images.__getitem__, self.images), self.word + other.word
+        )
+
     def inverse(self):
         if self._inverse is None:
             self._inverse = PermElement(
@@ -133,14 +148,6 @@ class MatrixElement(_Element):
         packed = np.packbits(asbits(mat), axis=1, bitorder="little")
         return cls((int.from_bytes(row.tobytes(), "little") for row in packed), word)
 
-    def matrix(self):
-        """The rows unpacked into a d x d uint8 array."""
-        d = len(self.images)
-        width = (d + 7) // 8
-        packed = b"".join(row.to_bytes(width, "little") for row in self.images)
-        bits = np.frombuffer(packed, dtype=np.uint8).reshape(d, width)
-        return np.unpackbits(bits, axis=1, count=d, bitorder="little")
-
     def act(self, point):
         # XOR the rows at the set bits of point, lowest bit first
         rows = self.images
@@ -153,13 +160,27 @@ class MatrixElement(_Element):
 
     def inverse(self):
         if self._inverse is None:
-            self._inverse = MatrixElement.from_matrix(
-                invert(self.matrix()), invert_word(self.word)
+            # Gauss-Jordan on [M | I], each row one int: bits 0..d-1 hold
+            # the row of M, bits d..2d-1 the row operations applied to it
+            d = len(self.images)
+            rows = [row | 1 << (d + i) for i, row in enumerate(self.images)]
+            for col in range(d):
+                bit = 1 << col
+                pivot = next((r for r in range(col, d) if rows[r] & bit), None)
+                if pivot is None:
+                    raise SingularMatrixError("singular %dx%d matrix" % (d, d))
+                rows[col], rows[pivot] = rows[pivot], rows[col]
+                top = rows[col]
+                for r, row in enumerate(rows):
+                    if row & bit and r != col:
+                        rows[r] = row ^ top
+            self._inverse = MatrixElement(
+                (row >> d for row in rows), invert_word(self.word)
             )
         return self._inverse
 
     def __repr__(self):
-        return "MatrixElement(%r)" % (self.matrix().tolist(),)
+        return "MatrixElement(%r)" % (self.images,)
 
 
 class StabilizerChain:
@@ -171,7 +192,7 @@ class StabilizerChain:
     it.  A prescribed base is used as a prefix and extended on demand.
     """
 
-    __slots__ = ("identity", "basepoint", "gens", "tree", "stab")
+    __slots__ = ("identity", "basepoint", "gens", "tree", "stab", "sifted")
 
     def __init__(self, identity, prescribed_base=()):
         self.identity = identity
@@ -179,6 +200,7 @@ class StabilizerChain:
         self.gens = []
         self.tree = {}
         self.stab = None
+        self.sifted = set()
         base = tuple(prescribed_base)
         if base:
             self.basepoint = base[0]
@@ -217,7 +239,8 @@ class StabilizerChain:
             u = node.tree.get(g.act(node.basepoint))
             if u is None:
                 return g
-            g = g.compose(u.inverse())
+            if u is not node.identity:
+                g = g.compose(u.inverse())
             node = node.stab
         return g
 
@@ -278,15 +301,17 @@ class StabilizerChain:
         self.tree = tree
 
     def _close(self):
-        """Sift every Schreier generator into the stabilizer subgroup."""
+        """Sift every Schreier generator not yet sifted into the stabilizer."""
         if self.stab is None:
             self.stab = StabilizerChain(self.identity)
         gens = self.strong_generators()
-        for point in list(self.tree):
-            u = self.tree[point]
+        for point, u in self.tree.items():
             for s in gens:
                 v = self.tree[s.act(point)]
-                self.stab.add(u.compose(s).compose(v.inverse()))
+                key = (u.images, s.images, v.images)
+                if key not in self.sifted:
+                    self.sifted.add(key)
+                    self.stab.add(u.compose(s).compose(v.inverse()))
 
     def iter_elements(self):
         """Yield every group element once, as transversal products."""

@@ -3,7 +3,8 @@
 Dense complex-matrix oracles pin down sign conventions; a dense conjugated
 permutation matrix pins the symplectic of a structured permutation; a
 block-structured brute force checks automorphism groups without the
-refinement search.
+refinement search; a breadth-first closure of binary matrices checks
+matrix groups without the stabilizer chain.
 """
 
 from __future__ import annotations
@@ -177,3 +178,21 @@ def block_automorphisms(rows, n: int, blocks: int) -> set[tuple[int, ...]]:
                 found.add(tuple(taus[q][b] * n + pi[q]
                                 for b in range(blocks) for q in range(n)))
     return found
+
+
+def matrix_closure(gens) -> dict[bytes, np.ndarray]:
+    """Every product of the binary matrices gens, keyed by its bytes."""
+    d = gens[0].shape[0]
+    ident = np.eye(d, dtype=np.uint8)
+    seen = {ident.tobytes(): ident}
+    frontier = ident[None]
+    while len(frontier):
+        new = []
+        for g in gens:
+            # the whole frontier times g at once, one product per matrix
+            for m in (frontier.astype(np.int64) @ g % 2).astype(np.uint8):
+                if m.tobytes() not in seen:
+                    seen[m.tobytes()] = m
+                    new.append(m)
+        frontier = np.array(new, dtype=np.uint8).reshape(-1, d, d)
+    return seen

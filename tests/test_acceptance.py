@@ -6,6 +6,7 @@ corrections, embedded two-qubit gates, the structured-group formula,
 decomposition roundtrips and the phase-rule oracle.
 """
 
+import hashlib
 import json
 import math
 import time
@@ -39,7 +40,7 @@ from autgates.logsearch import (
 from autgates.pauli import PhasedPauli
 from autgates.stabilizer import StabilizerCode, standard_form, tableau
 
-from oracles import block_automorphisms, dense_conjugate
+from oracles import block_automorphisms, dense_conjugate, matrix_closure
 
 FIVE_QUBIT_STANDARD_FORM = np.array(
     [
@@ -275,3 +276,11 @@ def test_10_bicycle_code_automorphisms():
     assert d.search.complete
     assert d.search.group.order() == 864
     assert d.group.order() == 864
+    # every element's membership word, pinned: elements are the closure
+    # of the generator actions in the order of their matrix bytes
+    elements = matrix_closure([u for u, _ in d.group.generators])
+    words = [d.group.express(elements[key]) for key in sorted(elements)]
+    assert len(words) == 864
+    assert hashlib.sha256(repr(words).encode()).hexdigest() == (
+        "bee471d370b9e24063b4c9ca397943642c549bb839cb522d4ec2ac0cfaca185e"
+    )

@@ -18,6 +18,7 @@ from autgates.errors import (
     NotSymplecticError,
     ParseError,
 )
+from autgates import gf2
 from autgates.gf2 import is_symplectic, mat2
 from autgates.logsearch import (
     LogicalActionGroup,
@@ -26,6 +27,7 @@ from autgates.logsearch import (
     parse_target,
     synthesize,
 )
+from autgates.permgroup import MatrixElement
 from autgates.stabilizer import StabilizerCode
 
 FIVE_QUBIT = ["XZZXI", "IXZZX", "XIXZZ", "ZXIXZ"]
@@ -204,6 +206,32 @@ def test_action_group_beyond_64_bit_rows(k):
     assert group.order() == 4
     assert group.contains(u)
     assert np.array_equal(group.word_matrix(group.express(u)), u)
+
+
+def test_action_chain_skips_redundant_work(monkeypatch):
+    # Z plus 8 idle qubits: the action group is the monomial group
+    # S_8 x 2^8.  Sifting each Schreier generator once builds it in
+    # about 1,200 compositions; sifting them all after every insert
+    # takes about 7,700, a cost that grows as about k^4.6
+    code = StabilizerCode.from_strings(["Z" + "I" * 8])
+    found = discover_gates(code, RepKind.HSWAP, RowSource.AS_GIVEN)
+    calls = {"compose": 0, "rref": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(MatrixElement, "compose", counted("compose", MatrixElement.compose))
+    monkeypatch.setattr(gf2, "rref", counted("rref", gf2.rref))
+    group = LogicalActionGroup(8)
+    for u, circ in found.group.generators:
+        group.add(u, circ)
+    assert group.order() == 40320 * 2**8
+    assert calls["rref"] == 0
+    assert calls["compose"] < 2000
 
 
 def test_synthesize_rejects_bad_targets(five_qubit_discovery):

@@ -5,6 +5,7 @@ import pytest
 
 from autgates.circuits import CliffordCircuit, Gate
 from autgates.errors import SingularMatrixError
+from autgates.gf2 import rank
 from autgates.permgroup import (
     MatrixElement,
     PermElement,
@@ -14,6 +15,8 @@ from autgates.permgroup import (
     cycles,
     invert_images,
 )
+
+from oracles import matrix_closure
 
 
 def closure(gens):
@@ -32,6 +35,14 @@ def closure(gens):
                     new.append(q)
         frontier = new
     return seen
+
+
+def random_invertible(rng, d):
+    """Uniform random matrix of GL(d, 2), with its MatrixElement."""
+    while True:
+        m = rng.integers(0, 2, size=(d, d)).astype(np.uint8)
+        if rank(m) == d:
+            return m, MatrixElement.from_matrix(m)
 
 
 def random_perm(rng, degree):
@@ -82,6 +93,23 @@ def test_order_and_membership_match_closure():
         for _ in range(10):
             p = random_perm(rng, degree)
             assert group.contains(p) == (p in ref)
+    for trial in range(20):
+        # GL(5, 2) has about 10^7 elements, beyond a test's closure, so
+        # several generators are drawn only up to d = 4
+        d = int(rng.integers(2, 6))
+        count = 1 if d == 5 else int(rng.integers(1, 4))
+        mats, elts = zip(*(random_invertible(rng, d) for _ in range(count)))
+        ref = matrix_closure(mats)
+        chain = StabilizerChain(MatrixElement.identity(d))
+        for elt in elts:
+            chain.add(elt)
+        assert chain.order() == len(ref)
+        for key in list(ref)[:50]:
+            m = np.frombuffer(key, dtype=np.uint8).reshape(d, d)
+            assert chain.contains(MatrixElement.from_matrix(m))
+        for _ in range(10):
+            m, elt = random_invertible(rng, d)
+            assert chain.contains(elt) == (m.tobytes() in ref)
 
 
 def test_express_words_recompose():
@@ -161,15 +189,9 @@ def test_cycle_string_formats():
 def test_matrix_element_action_and_inverse():
     rng = np.random.default_rng(3)
     for _ in range(20):
-        d = int(rng.integers(2, 6))
-        while True:
-            m = rng.integers(0, 2, size=(d, d)).astype(np.uint8)
-            try:
-                elt = MatrixElement.from_matrix(m)
-                inv = elt.inverse()
-            except SingularMatrixError:
-                continue
-            break
+        m, elt = random_invertible(rng, int(rng.integers(2, 6)))
+        d = len(m)
+        inv = elt.inverse()
         for _ in range(10):
             v = rng.integers(0, 2, size=d).astype(np.uint8)
             point = int(v @ (1 << np.arange(d, dtype=np.int64)))
@@ -191,7 +213,16 @@ def test_matrix_element_act_at_dimension_66():
         point = sum(int(bit) << j for j, bit in enumerate(v))
         w = v.astype(np.int64) @ m % 2
         assert elt.act(point) == sum(int(bit) << j for j, bit in enumerate(w))
-    assert np.array_equal(elt.matrix(), m)
+    assert elt.images == tuple(sum(int(b) << j for j, b in enumerate(r)) for r in m)
+    # the packed Gauss-Jordan inverse, here and past 128 bits
+    for d in (66, 130):
+        _, elt = random_invertible(rng, d)
+        assert elt.compose(elt.inverse()).is_identity()
+        assert elt.inverse().compose(elt).is_identity()
+        # a repeated row makes the matrix singular
+        twin = MatrixElement(elt.images[:-1] + elt.images[:1])
+        with pytest.raises(SingularMatrixError):
+            twin.inverse()
 
 
 def test_matrix_chain_gl3_order():
@@ -241,7 +272,7 @@ def test_matrix_chain_symplectic_groups():
     for idx, exp in elt.word:
         g = gens[idx]
         recomposed = recomposed.compose(g if exp > 0 else g.inverse())
-    assert np.array_equal(recomposed.matrix(), target.matrix())
+    assert recomposed.images == target.images
 
     # an invertible matrix that skews only the x block is not symplectic
     outsider = MatrixElement.from_matrix(
