@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2 import asbits
+from .gf2 import asbits, int_product
 from .permgroup import PermGroup
 
 
@@ -35,6 +35,20 @@ class _BudgetExceeded(Exception):
     pass
 
 
+def unique_rows(a, **kwargs):
+    """np.unique(a, axis=0, **kwargs) for an int64 matrix, one packed key per row.
+
+    With the sign bit flipped and stored big-endian, a row's bytes compare
+    like its signed entries, so keys, inverse and counts come out in the
+    same order as with axis=0, at a fraction of the cost.
+    """
+    a = np.asarray(a, dtype=np.int64)
+    packed = (a.view(np.uint64) ^ np.uint64(1 << 63)).astype(">u8", order="C")
+    keys = packed.view(np.dtype((np.void, 8 * a.shape[1]))).ravel()
+    _, first, *rest = np.unique(keys, return_index=True, **kwargs)
+    return (a[first], *rest)
+
+
 class _Search:
     def __init__(self, matrix, row_colors, max_nodes, deadline):
         matrix = asbits(matrix)
@@ -47,17 +61,11 @@ class _Search:
         if row_colors.shape != (matrix.shape[0],):
             raise ValueError("row_colors must have one entry per row")
 
-        # dedupe rows, keeping color and multiplicity
-        if matrix.shape[0]:
-            meta = np.column_stack([row_colors, matrix.astype(np.int64)])
-            uniq, counts = np.unique(meta, axis=0, return_counts=True)
-            self.colors = uniq[:, 0]
-            self.rows = uniq[:, 1:].astype(np.int64)
-            self.mult = counts.astype(np.int64)
-        else:
-            self.colors = np.zeros(0, dtype=np.int64)
-            self.rows = np.zeros((0, self.n_cols), dtype=np.int64)
-            self.mult = np.zeros(0, dtype=np.int64)
+        # dedupe rows, keeping color and multiplicity; float32 feeds _refine
+        uniq, counts = unique_rows(np.column_stack([row_colors, matrix]), return_counts=True)
+        self.colors = uniq[:, 0]
+        self.rows = uniq[:, 1:].astype(np.float32)
+        self.mult = counts.astype(np.int64)
         self.row_lookup = {
             (int(c), r.tobytes()): t
             for t, (c, r) in enumerate(zip(self.colors, self.rows))
@@ -90,26 +98,26 @@ class _Search:
         are contiguous and ordered.  Splitting keys are incidence counts,
         so the refinement commutes with any automorphism and the returned
         trace is a node invariant safe for pruning.
+
+        The trace holds one hash() per step of its row and column keys,
+        which would be megabytes per base-path depth on large codes.  It is
+        compared only within one run: unequal hashes mean unequal keys, so
+        pruning stays sound, and a collision only keeps a node whose
+        leaves are still checked.
         """
         n = self.n_cols
         trace = []
         num_cells = int(cell_id.max()) + 1 if n else 0
         while True:
             # group rows by color, multiplicity and per-cell 1-counts
-            ind = np.zeros((n, num_cells), dtype=np.int64)
-            ind[np.arange(n), cell_id] = 1
-            cnt = self.rows @ ind
+            cnt = int_product(self.rows, np.eye(num_cells, dtype=np.float32)[cell_id])
             row_meta = np.column_stack([self.colors, self.mult, cnt])
-            row_keys, row_group = np.unique(
-                row_meta, axis=0, return_inverse=True
-            )
+            row_keys, row_group = unique_rows(row_meta, return_inverse=True)
             # column signatures: per row-group 1-counts, within each cell
-            gind = np.zeros((row_keys.shape[0], self.rows.shape[0]), dtype=np.int64)
-            gind[row_group, np.arange(self.rows.shape[0])] = 1
-            colcnt = gind @ self.rows
-            col_meta = np.column_stack([cell_id, colcnt.T])
-            col_keys, new_cell_id = np.unique(col_meta, axis=0, return_inverse=True)
-            trace.append((row_keys.tobytes(), col_keys.tobytes()))
+            gind = np.eye(row_keys.shape[0], dtype=np.float32)[row_group].T
+            col_meta = np.column_stack([cell_id, int_product(gind, self.rows).T])
+            col_keys, new_cell_id = unique_rows(col_meta, return_inverse=True)
+            trace.append(hash((row_keys.shape, row_keys.tobytes(), col_keys.tobytes())))
             new_num = col_keys.shape[0]
             if new_num == num_cells:
                 break
@@ -147,17 +155,11 @@ class _Search:
     def _target_cell(self, cell_id, num_cells):
         """Columns of the smallest non-singleton cell, earliest on ties."""
         sizes = np.bincount(cell_id, minlength=num_cells)
-        best = None
-        for idx in range(num_cells):
-            if sizes[idx] > 1 and (best is None or sizes[idx] < sizes[best]):
-                best = idx
-        if best is None:
+        open_cells = np.flatnonzero(sizes > 1)
+        if not open_cells.size:
             return None
-        return [int(j) for j in np.flatnonzero(cell_id == best)]
-
-    def _leaf_columns(self, cell_id):
-        order = np.argsort(cell_id, kind="stable")
-        return [int(j) for j in order]
+        best = open_cells[np.argmin(sizes[open_cells])]
+        return np.flatnonzero(cell_id == best).tolist()
 
     def _check_automorphism(self, images):
         """Row multiset must be preserved color-by-color."""
@@ -182,7 +184,7 @@ class _Search:
         candidates = self._target_cell(cell_id, num_cells)
         if candidates is None:
             self.leaves += 1
-            cols = self._leaf_columns(cell_id)
+            cols = np.argsort(cell_id, kind="stable").tolist()
             if self.base_leaf is None:
                 self.base_leaf = cols
                 self.group = PermGroup(

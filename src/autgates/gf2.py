@@ -2,7 +2,9 @@
 
 Matrices are ordinary numpy arrays with entries 0/1 and dtype uint8.  All
 target codes here have at most a few hundred columns, so dense storage is
-fine and keeps every kernel a couple of numpy calls.
+fine and keeps every kernel a couple of numpy calls.  Products go through
+BLAS on 0/1 operands cast to float32 (int_product): an entry counts at most
+k ones, k the inner dimension, so it is exact for k < 2**24; larger k raises.
 """
 
 from __future__ import annotations
@@ -18,9 +20,17 @@ def asbits(a) -> np.ndarray:
     return m
 
 
+def int_product(a, b) -> np.ndarray:
+    """Integer product a @ b of 0/1 matrices, as int64, through float32 BLAS."""
+    k = np.shape(a)[-1]
+    if k >= 2**24:
+        raise DimensionError(f"inner dimension {k} is not below 2**24")
+    return (np.asarray(a, np.float32) @ np.asarray(b, np.float32)).astype(np.int64)
+
+
 def mat2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product over GF(2).  Promotes to int to avoid uint8 overflow."""
-    return (a.astype(np.int64) @ b.astype(np.int64) % 2).astype(np.uint8)
+    """Matrix product over GF(2)."""
+    return (int_product(a, b) & 1).astype(np.uint8)
 
 
 def rref(m: np.ndarray) -> tuple[np.ndarray, list[int], np.ndarray]:

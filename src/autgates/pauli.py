@@ -12,7 +12,7 @@ import re
 import numpy as np
 
 from .errors import LengthMismatchError, ParseError
-from .gf2 import asbits, mat2
+from .gf2 import asbits, int_product, mat2
 
 _PREFIX = {"": 0, "+": 0, "i": 1, "+i": 1, "-": 2, "-i": 3}
 _PREFIX_STR = {0: "", 1: "i", 2: "-", 3: "-i"}
@@ -118,7 +118,8 @@ def row_products(phases, rows, coeffs) -> tuple[np.ndarray, np.ndarray]:
     """
     rows = asbits(rows)
     n = rows.shape[1] // 2
-    later = np.triu(mat2(rows[:, n:], rows[:, :n].T), 1).astype(np.int64)
-    c = asbits(coeffs).astype(np.int64)
-    signs = (c @ later * c).sum(axis=1) % 2
-    return (c @ np.asarray(phases, dtype=np.int64) + 2 * signs) % 4, mat2(c, rows)
+    later = np.triu(mat2(rows[:, n:], rows[:, :n].T), 1)
+    c = asbits(coeffs)
+    # row j's phase, plus 2 for each earlier selected row i with z_i . x_j = 1
+    per_row = np.asarray(phases, dtype=np.int64) + 2 * int_product(c, later)
+    return (c * per_row).sum(axis=1) % 4, mat2(c, rows)

@@ -28,7 +28,7 @@ from autgates.cliffordmap import (
     verify_preserves_stabilizers,
 )
 from autgates.cli import main
-from autgates.codes import load
+from autgates.codes import bivariate_bicycle, load
 from autgates.embedded import all_pairs, discover_embedded_gates
 from autgates.gf2 import solve_in_span
 from autgates.logsearch import (
@@ -284,3 +284,27 @@ def test_10_bicycle_code_automorphisms():
     assert hashlib.sha256(repr(words).encode()).hexdigest() == (
         "bee471d370b9e24063b4c9ca397943642c549bb839cb522d4ec2ac0cfaca185e"
     )
+
+
+GROSS_GATES_SHA256 = {
+    "hswap": "792ccf903ba2cde88cef5413a7fbb1e08fe08d25a48ad073dd9416531576ed29",
+    "threeblock": "864386bb1b600aa2d0b378a591122db83fd783f25919b52c62ee130a131dae13",
+}
+
+
+def test_11_gross_code_gates(tmp_path, capsys):
+    """gates --json on the [[144,12,12]] gross code, stdout pinned by sha256."""
+    code = bivariate_bicycle(12, 6, [(3, 0), (0, 1), (0, 2)], [(0, 3), (1, 0), (2, 0)])
+    path = tmp_path / "gross.stab"
+    path.write_text("".join(c.to_string() + "\n" for c in code.checks))
+    start = time.perf_counter()
+    for rep, nodes in (("hswap", 6), ("threeblock", 10)):
+        rc = main(["gates", str(path), "--rep", rep, "--json"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        doc = json.loads(out)
+        assert doc["search"] == {"complete": True, "nodes": nodes, "order": 288}
+        assert len(doc["generators"]) == 4
+        assert doc["action_group_order"] == 144
+        assert hashlib.sha256(out.encode()).hexdigest() == GROSS_GATES_SHA256[rep]
+    assert time.perf_counter() - start < 3.0

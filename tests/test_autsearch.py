@@ -5,7 +5,7 @@ from math import factorial
 
 import numpy as np
 
-from autgates.autsearch import matrix_automorphisms
+from autgates.autsearch import matrix_automorphisms, unique_rows
 from autgates.binrep import RepKind, RowSource, build, row_augmented_matrix
 from autgates.stabilizer import StabilizerCode
 
@@ -143,3 +143,21 @@ def test_node_budget_reports_incomplete():
     assert not res.complete
     assert res.group.order() >= 1
     assert res.nodes <= 3
+
+
+def test_unique_rows_matches_numpy_axis0():
+    rng = np.random.default_rng(17)
+    lo, hi = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+    cases = [np.zeros((0, 3), dtype=np.int64), np.array([[lo], [hi], [0], [-1], [lo]])]
+    for rows, cols, span in [(1, 1, 3), (40, 1, 5), (60, 3, 3), (200, 7, 2), (50, 4, 1000)]:
+        cases.append(rng.integers(-span, span + 1, (rows, cols)))
+    edges = rng.choice([lo, lo + 1, -1, 0, 1, hi - 1, hi], (80, 3))
+    cases += [edges, np.vstack([edges, edges[::-1]])]
+    for a in cases:
+        want = np.unique(a, axis=0, return_inverse=True, return_counts=True)
+        got = unique_rows(a, return_inverse=True, return_counts=True)
+        assert len(got) == 3
+        for w, g in zip(want, got):
+            assert g.shape == w.shape and np.array_equal(g, w)
+        keys, counts = unique_rows(a, return_counts=True)
+        assert np.array_equal(keys, want[0]) and np.array_equal(counts, want[2])

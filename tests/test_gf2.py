@@ -102,3 +102,23 @@ def test_symplectic_form_and_inverse():
         gf2.mat2(omega, gf2.symplectic_inverse(omega)), np.eye(6, dtype=np.uint8)
     )
     del rng
+
+
+def test_int_product_matches_int64_product():
+    rng = np.random.default_rng(3)
+    for rows, inner, cols in [(1, 1, 1), (5, 0, 4), (17, 33, 9), (288, 432, 432), (432, 432, 432)]:
+        a = rng.integers(0, 2, (rows, inner), dtype=np.uint8)
+        b = rng.integers(0, 2, (inner, cols), dtype=np.uint8)
+        got = gf2.int_product(a, b)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, a.astype(np.int64) @ b.astype(np.int64))
+    # all-ones operands give the largest entries, past float16's exact range
+    ones = np.ones((432, 432), dtype=np.uint8)
+    assert (gf2.int_product(ones, ones) == 432).all()
+    wide = np.ones((2, 5001), dtype=np.uint8)
+    assert (gf2.int_product(wide, wide.T) == 5001).all()
+
+
+def test_int_product_rejects_inner_dimension_past_float32_exactness():
+    with pytest.raises(DimensionError):
+        gf2.int_product(np.zeros((0, 2**24), np.uint8), np.zeros((2**24, 0), np.uint8))
