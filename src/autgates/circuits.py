@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ParseError
-from .pauli import PhasedPauli
+from .pauli import PhasedPauli, row_products
 
 
 class GateDef(NamedTuple):
@@ -65,16 +65,9 @@ def _lookup(name: str) -> tuple[np.ndarray, np.ndarray]:
     """
     images = [PhasedPauli.from_string(s) for s in GATES[name].images]
     m = len(images) // 2
-    inc = np.zeros(4**m, dtype=np.int64)
-    outs = np.zeros((m, 4**m), dtype=np.uint8)
-    for idx in range(4**m):
-        image = PhasedPauli.identity(m)
-        for j, factor in enumerate(images):
-            if idx >> (2 * (j % m) + j // m) & 1:
-                image = image.multiply(factor)
-        inc[idx] = image.phase
-        outs[:, idx] = image.x + 2 * image.z
-    return inc, outs
+    coeffs = [[idx >> (2 * (j % m) + j // m) & 1 for j in range(2 * m)] for idx in range(4**m)]
+    inc, out = row_products([p.phase for p in images], [p.vector() for p in images], coeffs)
+    return inc, (out[:, :m] + 2 * out[:, m:]).T
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ from .logsearch import (
     parse_target,
     synthesize,
 )
-from .pauli import PhasedPauli
+from .pauli import PREFIXES, PhasedPauli
 from .permgroup import cycle_string
 from .stabilizer import (
     destabilizers,
@@ -102,10 +102,6 @@ def _split_row(row, n: int) -> str:
     return _bits(row[:n]) + "|" + _bits(row[n:])
 
 
-def _sign(phase: int) -> str:
-    return "-" if phase % 4 == 2 else "+"
-
-
 def _action_rows(u_act) -> list[str]:
     return [_bits(row) for row in u_act]
 
@@ -125,7 +121,7 @@ def cmd_analyze(args) -> int:
     t = tableau(code)
     g_rows = sf.unpermute(sf.g_std)
     rows = [
-        _sign(int(ph)) + _split_row(row, sf.n)
+        PREFIXES[int(ph)] + _split_row(row, sf.n)
         for row, ph in zip(g_rows, sf.phases)
     ]
     lx_str = [PhasedPauli.from_vector(r).to_string() for r in lx]

@@ -266,9 +266,13 @@ def interpretation_sound(
     b = mat2(np.hstack([left[:, :n], left[:, n + m : 2 * n + m]]) ^ right, t.inverse)
     if b[:, n - k :].any():
         return False
-    g_phases, g = row_products(t.phases, t.tau, b)
-    sign = 2 * (right[:, n:] & g[:, :n]).sum(axis=1, dtype=np.int64)
-    return bool(np.array_equal((right_phases + g_phases + sign) % 4, left_phases))
+    # each interpreted image times its stabilizer element, with the exact sign
+    prod_phases, _ = row_products(
+        np.concatenate([right_phases, t.phases]),
+        np.vstack([right, t.tau]),
+        np.hstack([np.eye(len(rows), dtype=np.uint8), b]),
+    )
+    return bool(np.array_equal(prod_phases, left_phases))
 
 
 @dataclass

@@ -30,12 +30,7 @@ from .binrep import (
     build,
     row_augmented_matrix,
 )
-from .circuits import (
-    ONE_QUBIT_GATES,
-    TWO_QUBIT_GATES,
-    CliffordCircuit,
-    Gate,
-)
+from .circuits import CliffordCircuit, Gate
 from .cliffordmap import (
     LogicalReport,
     corrected_circuit,
@@ -250,21 +245,6 @@ def parse_target(text: str, k: int) -> np.ndarray:
         )
         if name == "I" and not args:
             continue
-        if name in ONE_QUBIT_GATES:
-            if len(args) != 1:
-                raise ParseError("%s takes one qubit index" % name)
-        elif name in TWO_QUBIT_GATES:
-            if len(args) != 2:
-                raise ParseError("%s takes two qubit indices" % name)
-            if args[0] == args[1]:
-                raise ParseError("%s needs two distinct qubits" % name)
-        else:
-            raise ParseError("unknown gate %r in target" % name)
-        for q in args:
-            if q >= k:
-                raise ParseError(
-                    "qubit %d out of range for %d logical qubits" % (q, k)
-                )
         gates.append(Gate(name, args))
     return CliffordCircuit(k, tuple(gates)).symplectic()
 

@@ -3,6 +3,11 @@
 An n-qubit Pauli is stored as i^phase * X(x) * Z(z) with x, z binary vectors
 and phase an integer mod 4.  The X part is written to the left of the Z part;
 a Y on qubit j contributes x_j = z_j = 1 and one factor of i to the phase.
+
+This is the one phase convention of the package.  The letter form (as in
+"-XYZ") carries the prefix i^(phase - #Y), and a Pauli is Hermitian exactly
+when that exponent is even, whatever the number of Y factors.  Products of
+rows in this form take their signs from row_products alone.
 """
 
 from __future__ import annotations
@@ -14,10 +19,11 @@ import numpy as np
 from .errors import LengthMismatchError, ParseError
 from .gf2 import asbits, int_product, mat2
 
-_PREFIX = {"": 0, "+": 0, "i": 1, "+i": 1, "-": 2, "-i": 3}
-_PREFIX_STR = {0: "", 1: "i", 2: "-", 3: "-i"}
+# the prefix written for each exponent of i; parsing also reads them without "+"
+PREFIXES = ("+", "+i", "-", "-i")
+_PREFIX = {p: e for e, s in enumerate(PREFIXES) for p in (s, s.lstrip("+"))}
 _LETTER = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
-_PAULI_RE = re.compile(r"^(\+|-|i|\+i|-i)?([IXYZ]+)$")
+_PAULI_RE = re.compile(r"^([-+]?i?)([IXYZ]+)$")
 
 
 class PhasedPauli:
@@ -48,7 +54,7 @@ class PhasedPauli:
         if not m:
             raise ParseError(f"bad Pauli string: {s!r}")
         prefix, letters = m.groups()
-        phase = _PREFIX[prefix or ""]
+        phase = _PREFIX[prefix]
         x = np.zeros(len(letters), dtype=np.uint8)
         z = np.zeros(len(letters), dtype=np.uint8)
         for j, ch in enumerate(letters):
@@ -67,9 +73,16 @@ class PhasedPauli:
         """The length-2n row (x|z)."""
         return np.concatenate([self.x, self.z])
 
+    @property
+    def letter_phase(self) -> int:
+        """Exponent of i in front of the letter form: (phase - #Y) mod 4."""
+        return (self.phase - int(np.count_nonzero(self.x & self.z))) % 4
+
+    def is_hermitian(self) -> bool:
+        return self.letter_phase % 2 == 0
+
     def to_string(self) -> str:
-        ys = int(np.count_nonzero(self.x & self.z))
-        head = _PREFIX_STR[(self.phase - ys) % 4]
+        head = PREFIXES[self.letter_phase].lstrip("+")
         body = "".join("IXZY"[int(a) + 2 * int(b)] for a, b in zip(self.x, self.z))
         return head + body
 
@@ -80,9 +93,6 @@ class PhasedPauli:
         reorder = int(np.count_nonzero(self.z & other.x))
         phase = (self.phase + other.phase + 2 * reorder) % 4
         return PhasedPauli(phase, self.x ^ other.x, self.z ^ other.z)
-
-    def __mul__(self, other: "PhasedPauli") -> "PhasedPauli":
-        return self.multiply(other)
 
     def commutes_with(self, other: "PhasedPauli") -> bool:
         if self.n != other.n:

@@ -46,7 +46,7 @@ class StabilizerCode:
         for idx, c in enumerate(checks):
             if c.n != n:
                 raise DimensionError(f"check {idx} acts on {c.n} qubits, expected {n}")
-            if c.phase % 2:
+            if not c.is_hermitian():
                 raise ParseError(f"check {idx} has imaginary phase: {c.to_string()}")
         self.checks = list(checks)
         self.n = n
@@ -81,7 +81,7 @@ class StandardForm:
     s: int
     k: int
     g_std: np.ndarray  # (r+s) x 2n, permuted frame
-    phases: np.ndarray  # per-row sign exponents (0 or 2)
+    phases: np.ndarray  # i-exponent of each Hermitian row i^phase X(x) Z(z)
     qubit_perm: np.ndarray  # original qubit at permuted position p is qubit_perm[p]
 
     @property
@@ -160,7 +160,7 @@ class Tableau:
     n: int
     k: int
     tau: np.ndarray
-    phases: np.ndarray  # length 2n, entries mod 4 (0 or 2)
+    phases: np.ndarray  # length 2n, i-exponent of each Hermitian row i^phase X(x) Z(z)
 
     @property
     def stab_rows(self) -> range:

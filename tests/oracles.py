@@ -196,3 +196,31 @@ def matrix_closure(gens) -> dict[bytes, np.ndarray]:
                     new.append(m)
         frontier = np.array(new, dtype=np.uint8).reshape(-1, d, d)
     return seen
+
+
+def dense_logical_action_holds(circ: CliffordCircuit, checks, logicals, u_act) -> bool:
+    """Does circ keep the code projector and map each logical to what u_act says?
+
+    checks are the code's signed checks; logicals are the 2k logical Paulis,
+    X rows then Z rows, that the (aX|aZ) rows of u_act refer to.  Images are
+    compared on the code space, up to a phase, since a logical gate is
+    defined up to a logical Pauli.
+    """
+    dim = 2**circ.n
+    proj = np.eye(dim, dtype=complex)
+    for c in checks:
+        proj = proj @ (np.eye(dim) + dense_pauli(c)) / 2
+    u = dense_circuit(circ)
+    if not np.allclose(u @ proj, proj @ u):
+        return False
+    dense = [dense_pauli(p) for p in logicals]
+    for row, logical in zip(u_act, dense):
+        want = np.eye(dim, dtype=complex)
+        for bit, other in zip(row, dense):
+            if bit:
+                want = want @ other
+        got, want = u @ logical @ u.conj().T @ proj, want @ proj
+        phase = np.vdot(want, got) / np.vdot(want, want)
+        if not (np.isclose(abs(phase), 1) and np.allclose(got, phase * want)):
+            return False
+    return True

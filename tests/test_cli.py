@@ -10,8 +10,14 @@ import json
 import numpy as np
 import pytest
 
+from autgates.circuits import circuit_from_text, pauli_to_gates
 from autgates.cli import main
+from autgates.cliffordmap import verify_preserves_stabilizers
 from autgates.logsearch import LogicalActionGroup
+from autgates.pauli import PhasedPauli
+from autgates.stabilizer import parse_code_file, tableau
+
+from oracles import dense_logical_action_holds
 
 ANALYZE_N5 = """\
 code: n=5 k=1 checks=4
@@ -30,6 +36,32 @@ destabilizers:
   IZIII
   IIZII
   IIIZI
+tableau: symplectic
+"""
+
+# codes with checks that have an odd number of Y factors, which are Hermitian
+ODD_Y_CODES = {
+    "YXXX": "YXXX\nZZZZ\n",
+    "-YXXX": "-YXXX\nZZZZ\n",
+    "five-qubit-S0": "YZZXI\nIXZZX\nYIXZZ\nZXIXZ\n",
+    "XYZ": "XYZ\n",
+}
+
+ANALYZE_MINUS_YXXX = """\
+code: n=4 k=2 checks=2
+standard form: r=1 s=1
+qubit order: 0 1 2 3
+  -i1111|1000
+  +0000|1111
+logical X:
+  IXXI
+  IXIX
+logical Z:
+  ZIZI
+  ZIIZ
+destabilizers:
+  ZIII
+  IXII
 tableau: symplectic
 """
 
@@ -197,6 +229,57 @@ def test_analyze_code_from_file(tmp_path, capsys):
     rc, out, _ = run(capsys, ["analyze", str(path)])
     assert rc == 0
     assert out == ANALYZE_N5
+
+
+def test_analyze_odd_y_check(tmp_path, capsys):
+    path = tmp_path / "odd_y.stab"
+    path.write_text(ODD_Y_CODES["-YXXX"])
+    rc, out, _ = run(capsys, ["analyze", str(path)])
+    assert rc == 0
+    assert out == ANALYZE_MINUS_YXXX
+
+
+@pytest.mark.parametrize("check", ["iXX", "iXYZ"])
+def test_imaginary_check_exits_3(tmp_path, capsys, check):
+    path = tmp_path / "imaginary.stab"
+    path.write_text(check + "\n")
+    rc, _, err = run(capsys, ["analyze", str(path)])
+    assert rc == 3
+    assert "imaginary phase: %s" % check in err
+
+
+@pytest.mark.parametrize("rows", ["given", "codewords"])
+@pytest.mark.parametrize("rep", ["hswap", "sswap", "sqrtxswap", "threeblock"])
+@pytest.mark.parametrize("name", sorted(ODD_Y_CODES))
+def test_gates_on_odd_y_codes_match_dense_oracle(tmp_path, capsys, name, rep, rows):
+    path = tmp_path / "odd_y.stab"
+    path.write_text(ODD_Y_CODES[name])
+    rc, out, _ = run(capsys, ["gates", str(path), "--rep", rep, "--rows", rows, "--json"])
+    assert rc == 0
+    code = parse_code_file(ODD_Y_CODES[name])
+    t = tableau(code)
+    logicals = [t.row_pauli(i) for i in [*t.logical_x_rows, *t.logical_z_rows]]
+    for entry in json.loads(out)["generators"]:
+        circ = circuit_from_text("\n".join(entry["circuit"]), n=code.n)
+        corrected = pauli_to_gates(PhasedPauli.from_string(entry["correction"])) + circ
+        assert verify_preserves_stabilizers(t, corrected)
+        u_act = [[int(b) for b in row] for row in entry["action"]]
+        assert dense_logical_action_holds(corrected, code.checks, logicals, u_act)
+
+
+@pytest.mark.parametrize("target, action_name", [("S(0)", "S 0"), ("CNOT(0,1)", "CNOT 0 1")])
+def test_find_gate_embed_all_on_odd_y_code(tmp_path, capsys, target, action_name):
+    code = tmp_path / "odd_y.stab"
+    code.write_text(ODD_Y_CODES["-YXXX"])
+    rc, out, _ = run(capsys, ["find-gate", str(code), "--target", target, "--embed", "all"])
+    assert rc == 0
+    circ = tmp_path / "gate.txt"
+    circ.write_text(out)
+    rc, out, _ = run(capsys, ["verify", str(code), str(circ)])
+    assert rc == 0
+    assert "verdict: valid" in out
+    assert "correction: IIII" in out
+    assert "action name: %s" % action_name in out
 
 
 def test_gates_text(capsys):

@@ -136,6 +136,7 @@ PIN_CODES = {
     "n5k1d3": ["XZZXI", "IXZZX", "XIXZZ", "ZXIXZ"],
     "steane": ["IIIXXXX", "IXXIIXX", "XIXIXIX", "IIIZZZZ", "IZZIIZZ", "ZIZIZIZ"],
     "signed_y": ["-YYII", "XXXX", "-ZZZZ"],
+    "odd_y": ["-YXXX", "ZZZZ"],
 }
 
 

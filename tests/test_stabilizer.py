@@ -188,9 +188,9 @@ def random_signed_code(rng, n):
     """Signed Z_i checks pushed through a random Clifford circuit, plus
     dependent products, shuffled.
 
-    Checks are taken with an even number of Y factors (even phase
-    exponent), the only ones StabilizerCode accepts: an odd image is
-    replaced by its product with the first odd image, which is dropped.
+    Every image is kept, also those with an odd number of Y factors (odd
+    phase exponent X before Z): they are Hermitian, and StabilizerCode
+    accepts them.
     """
     gates = []
     for _ in range(rng.randrange(4 * n + 1)):
@@ -200,9 +200,7 @@ def random_signed_code(rng, n):
             gates.append(Gate(rng.choice(ONE_QUBIT_GATES), (rng.randrange(n),)))
     circ = CliffordCircuit(n, tuple(gates))
     z = [PhasedPauli(2 * rng.randrange(2), [0] * n, np.eye(n)[i]) for i in range(n)]
-    images = [circ.conjugate(p) for p in z[: rng.randrange(n + 1)]]
-    odd = [p for p in images if p.phase % 2]
-    checks = [p for p in images if p.phase % 2 == 0] + [p.multiply(odd[0]) for p in odd[1:]]
+    checks = [circ.conjugate(p) for p in z[: rng.randrange(n + 1)]]
     for _ in range(rng.randrange(4) if checks else 0):
         prod = PhasedPauli.identity(n)
         for p in rng.sample(checks, rng.randrange(1, len(checks) + 1)):
