@@ -236,6 +236,8 @@ def _parse_target_arg(arg: str, k: int):
 def cmd_find_gate(args) -> int:
     code = _load_code(args.code)
     deadline = time.monotonic() + _budget_ms(args) / 1000.0
+    if args.max_2q is not None and args.max_2q < 0:
+        raise ParseError("--max-2q must be >= 0, got %d" % args.max_2q)
     disc = discover_gates(
         code, kind=_REPS[args.rep], rows=_ROWS[args.rows], deadline=deadline
     )

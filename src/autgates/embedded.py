@@ -280,7 +280,6 @@ class EmbeddedGate:
     """One embedded automorphism mapped back to the original qubits."""
 
     images: tuple
-    embedded_circuit: CliffordCircuit
     circuit: CliffordCircuit
     report: LogicalReport
     two_qubit_count: int
@@ -357,7 +356,6 @@ def discover_embedded_gates(
         gates.append(
             EmbeddedGate(
                 images=images,
-                embedded_circuit=circ_e,
                 circuit=interp,
                 report=report,
                 two_qubit_count=interp.two_qubit_count(),

@@ -145,15 +145,16 @@ def synthesize(
     The composite is re-run through the correction pass, so the result
     carries the exact Pauli correction for the stitched circuit.
     """
-    u = group._check_matrix(target)
-    word = group.express(u)
+    word = group.express(target)
     if word is None:
         raise NotRealizableError(
             "target action is not generated by the discovered gates"
         )
     circ = group.word_circuit(word, t.n)
     report = pauli_correct_and_action(t, circ)
-    if not report.valid or not np.array_equal(report.u_act, u):  # pragma: no cover
+    if not report.valid or not np.array_equal(
+        report.u_act, asbits(target)
+    ):  # pragma: no cover
         raise AutgatesError("synthesized circuit failed re-verification")
     return SynthesisResult(
         word=word,

@@ -3,12 +3,11 @@
 The chain code is generic over the element type: anything that supports
 ``act``, ``compose``, ``inverse``, ``is_identity`` and ``moved_point``
 can be used.  Both element types provided here hold an element as the
-tuple of the images of its basis points, so ``compose``,
-``is_identity`` and ``moved_point`` are written once for both; a type
-supplies only its basis points, ``act`` and ``inverse``, and
-``PermElement`` composes by indexing its images instead of ``act``.
-``PermElement`` permutes ``range(degree)`` and its basis points are
-``0..d-1``.  ``MatrixElement`` is an invertible binary matrix acting on
+tuple of the images of its basis points, so ``is_identity`` and
+``moved_point`` are written once for both; a type supplies its basis
+points, ``act``, ``compose`` and ``inverse``.  ``PermElement`` permutes
+``range(degree)`` and its basis points are ``0..d-1``.
+``MatrixElement`` is an invertible binary matrix acting on
 row vectors encoded as integers; its basis points are the unit vectors
 ``1 << i``, so its images are the matrix rows packed into Python ints
 of any width.  An element computes its inverse at most once and keeps
@@ -23,11 +22,13 @@ it holds, and that group only grows, so a generator sifted once sifts
 to the identity ever after and would change nothing.  Trees, strong
 generators and ``express`` words are those of the plain algorithm.
 
-Every element carries a word in the user's generators as a tuple of
-``(generator_index, exponent)`` pairs with exponent +1 or -1, read left
-to right in application order.  Words survive composition and sifting,
-so ``express`` returns group elements whose words recompose exactly to
-the requested permutation or matrix.
+Only ``MatrixElement``, the element of the logical-action chain, carries
+a word in the user's generators: a tuple of ``(generator_index,
+exponent)`` pairs with exponent +1 or -1, read left to right in
+application order.  Words survive composition and sifting, so
+``express`` returns elements whose words recompose exactly to the
+requested matrix.  ``PermElement`` carries none: the automorphism search
+reads only orders, membership and level generators from its chain.
 """
 
 import numpy as np
@@ -72,22 +73,17 @@ def cycle_string(images):
 
 
 class _Element:
-    """Images of the basis points under an element, plus its word."""
+    """Images of the basis points under an element."""
 
-    __slots__ = ("images", "word", "_inverse")
+    __slots__ = ("images", "_inverse")
 
-    def __init__(self, images, word=()):
+    def __init__(self, images):
         self.images = tuple(images)
-        self.word = tuple(word)
         self._inverse = None
 
     @classmethod
     def identity(cls, dim):
         return cls(cls.basis(dim))
-
-    def compose(self, other):
-        """Element "apply self, then other"."""
-        return type(self)(map(other.act, self.images), self.word + other.word)
 
     def moved_point(self):
         """Smallest basis point not fixed, or None for the identity."""
@@ -101,7 +97,7 @@ class _Element:
 
 
 class PermElement(_Element):
-    """Permutation of range(degree) carrying a generator word."""
+    """Permutation of range(degree)."""
 
     __slots__ = ()
 
@@ -113,15 +109,12 @@ class PermElement(_Element):
         return self.images[point]
 
     def compose(self, other):
-        return PermElement(
-            map(other.images.__getitem__, self.images), self.word + other.word
-        )
+        """Element "apply self, then other"."""
+        return PermElement(map(other.images.__getitem__, self.images))
 
     def inverse(self):
         if self._inverse is None:
-            self._inverse = PermElement(
-                invert_images(self.images), invert_word(self.word)
-            )
+            self._inverse = PermElement(invert_images(self.images))
         return self._inverse
 
     def __repr__(self):
@@ -134,9 +127,14 @@ class MatrixElement(_Element):
     A vector (v_0, ..., v_{d-1}) is encoded as sum(v_j << j), and the
     images of the unit vectors are the matrix rows so encoded.  The
     action is right multiplication v @ M, so compose(a, b) is a @ b.
+    The element carries its word in the generators.
     """
 
-    __slots__ = ()
+    __slots__ = ("word",)
+
+    def __init__(self, images, word=()):
+        super().__init__(images)
+        self.word = tuple(word)
 
     @staticmethod
     def basis(dim):
@@ -147,6 +145,10 @@ class MatrixElement(_Element):
         """Element of a d x d binary matrix, each row packed into an int."""
         packed = np.packbits(asbits(mat), axis=1, bitorder="little")
         return cls((int.from_bytes(row.tobytes(), "little") for row in packed), word)
+
+    def compose(self, other):
+        """Element "apply self, then other"."""
+        return MatrixElement(map(other.act, self.images), self.word + other.word)
 
     def act(self, point):
         # XOR the rows at the set bits of point, lowest bit first
@@ -213,15 +215,6 @@ class StabilizerChain:
         gens = [] if self.stab is None else self.stab.strong_generators()
         return gens + self.gens
 
-    def base(self):
-        """Base points of the chain, skipping unused tail levels."""
-        points = []
-        node = self
-        while node is not None and node.basepoint is not None:
-            points.append(node.basepoint)
-            node = node.stab
-        return points
-
     def order(self):
         if self.basepoint is None:
             return 1
@@ -250,9 +243,10 @@ class StabilizerChain:
     def express(self, g):
         """Return a member equal to g whose word is in the generators.
 
-        Returns None when g is not in the group.  Sifting appends the
-        inverse words of the dividing transversal elements to g's word,
-        so inverting that tail gives a word that recomposes to g.
+        Only for elements that carry words.  Returns None when g is not
+        in the group.  Sifting appends the inverse words of the dividing
+        transversal elements to g's word, so inverting that tail gives a
+        word that recomposes to g.
         """
         residue = self.sift(g)
         if not residue.is_identity():
@@ -330,14 +324,12 @@ class StabilizerChain:
 class PermGroup:
     """Group of permutations of range(degree) with exact order.
 
-    Generators are added by their image tuples and indexed in the order
-    given, including redundant ones, so element words can be mapped back
-    to caller-side data attached to each generator.
+    Generators are added by their image tuples.  Its elements carry no
+    words; only the logical-action chain of ``MatrixElement`` does.
     """
 
     def __init__(self, degree, generators=(), prescribed_base=()):
         self.degree = int(degree)
-        self.gen_images = []
         self.chain = StabilizerChain(
             PermElement.identity(self.degree), prescribed_base
         )
@@ -346,25 +338,16 @@ class PermGroup:
 
     def add_generator(self, images):
         """Register a generator; returns True if the group grew."""
-        images = tuple(images)
-        if len(images) != self.degree:
+        gen = PermElement(images)
+        if len(gen.images) != self.degree:
             raise ValueError("generator degree mismatch")
-        idx = len(self.gen_images)
-        self.gen_images.append(images)
-        return self.chain.add(PermElement(images, ((idx, 1),)))
+        return self.chain.add(gen)
 
     def order(self):
         return self.chain.order()
 
     def contains(self, images):
         return self.chain.contains(PermElement(images))
-
-    def express(self, images):
-        """Member equal to the given permutation, with word, or None."""
-        return self.chain.express(PermElement(images))
-
-    def base(self):
-        return self.chain.base()
 
     def level_generators(self, depth):
         """Image tuples of generators fixing the first depth base points."""
@@ -379,11 +362,3 @@ class PermGroup:
         """Yield the images tuple of every element once."""
         for elt in self.chain.iter_elements():
             yield elt.images
-
-    def word_images(self, word):
-        """Recompose a word into images, for checking and reporting."""
-        out = PermElement.identity(self.degree)
-        for idx, exp in word:
-            g = PermElement(self.gen_images[idx])
-            out = out.compose(g if exp > 0 else g.inverse())
-        return out.images

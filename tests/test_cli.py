@@ -461,6 +461,16 @@ def test_find_gate_max_two_qubit_filter(capsys):
     assert rc == 2
 
 
+def test_find_gate_rejects_negative_max_2q(capsys):
+    # a negative cap would drop every embedded gate and read as "not realizable"
+    rc, out, err = run(
+        capsys,
+        ["find-gate", "n4k2d2", "--target", "S(0)", "--embed", "all", "--max-2q", "-1"],
+    )
+    assert (rc, out) == (3, "")
+    assert "--max-2q must be >= 0" in err
+
+
 def test_gates_threeblock_decodes_every_local_gate(capsys):
     rc, out, _ = run(
         capsys, ["gates", "n5k1d3", "--rep", "threeblock", "--rows", "codewords"]

@@ -182,6 +182,8 @@ def test_word_indices_survive_redundant_generators():
     word = group.express(target)
     assert word is not None
     assert all(idx < 3 for idx, _ in word)
+    # the redundant second H never enters the chain, so never the word
+    assert all(idx != 1 for idx, _ in word)
     assert np.array_equal(group.word_matrix(word), target)
     circ = group.word_circuit(word, 1)
     assert np.array_equal(circ.symplectic(), target)
