@@ -8,9 +8,16 @@ counts, the first depth-first descent fixes a base path, and later
 branches are pruned by refinement traces, discovered-automorphism orbits
 and backjumps.
 
-The returned generators go into a PermGroup, so callers get exact group
-orders and membership tests.  A node budget turns the search into a
-best-effort pass flagged as incomplete instead of raising.
+The automorphisms found are a base and strong generating set, as in
+nauty/Traces (McKay & Piperno, J. Symb. Comput. 60, 2014), and build a
+PermGroup once, without Schreier-Sims.  Let b_0..b_{L-1} be the base
+columns and v a candidate tried at base level d.  An automorphism found
+below v fixes b_0..b_{d-1} and maps b_d to v.  Level d is tried only
+after every deeper level is finished, so then every generator found
+fixes b_0..b_{d-1}, and a candidate is skipped only when it lies in the
+orbit of one already explored.  So the generators fixing b_0..b_{d-1}
+generate that prefix's pointwise stabilizer in the group found, even
+when a node budget stops the search; it is then flagged incomplete.
 """
 
 import time
@@ -28,7 +35,7 @@ class AutSearchResult:
     complete: bool
     nodes: int
     leaves: int
-    generators: list  # image tuples that grew the group, in discovery order
+    generators: list  # automorphisms found, in order: group's strong generators
 
 
 class _BudgetExceeded(Exception):
@@ -80,8 +87,7 @@ class _Search:
         self.base_traces = []  # refinement trace per depth
         self.base_cols = []  # individualized column per depth
         self.base_leaf = None  # column order of the first leaf
-        self.group = None
-        self.found = []
+        self.found = []  # automorphisms, a strong generating set on base_cols
         self._jump = None
 
     def _tick(self):
@@ -134,16 +140,13 @@ class _Search:
         _, new_id = np.unique(key, return_inverse=True)
         return new_id.astype(np.int64)
 
-    def _orbit_hits(self, column, depth, explored):
-        """Does the known group move the column into the explored set?"""
-        gens = self.group.level_generators(depth)
-        if not gens:
-            return False
+    def _orbit_hits(self, column, explored):
+        """Do the automorphisms found move the column into the explored set?"""
         seen = {column}
         queue = [column]
         while queue:
             a = queue.pop()
-            for g in gens:
+            for g in self.found:
                 b = g[a]
                 if b in explored:
                     return True
@@ -187,17 +190,13 @@ class _Search:
             cols = np.argsort(cell_id, kind="stable").tolist()
             if self.base_leaf is None:
                 self.base_leaf = cols
-                self.group = PermGroup(
-                    self.n_cols, prescribed_base=tuple(self.base_cols)
-                )
                 return
             images = [0] * self.n_cols
             for src, dst in zip(self.base_leaf, cols):
                 images[src] = dst
             images = tuple(images)
             if self._check_automorphism(images):
-                if self.group.add_generator(images):
-                    self.found.append(images)
+                self.found.append(images)
                 self._jump = div_depth
             return
 
@@ -208,11 +207,10 @@ class _Search:
         for v in candidates:
             child_on_base = on_base and v == self.base_cols[depth]
             # orbit pruning is justified only where the path equals the
-            # base prefix, which is what the stabilizer levels fix
-            if on_base and not child_on_base and self.group is not None:
-                if self._orbit_hits(v, depth, explored):
-                    explored.add(v)
-                    continue
+            # base prefix, which every automorphism found so far fixes
+            if on_base and not child_on_base and self._orbit_hits(v, explored):
+                explored.add(v)
+                continue
             child_div = depth if on_base and not child_on_base else div_depth
             self._explore(
                 self._individualize(cell_id, v), depth + 1, child_on_base, child_div
@@ -230,11 +228,8 @@ class _Search:
             self._explore(np.zeros(self.n_cols, dtype=np.int64), 0, True, None)
         except _BudgetExceeded:
             complete = False
-        if self.group is None:
-            # budget ran out before the first leaf fixed a base
-            self.group = PermGroup(self.n_cols)
         return AutSearchResult(
-            group=self.group,
+            group=PermGroup(self.n_cols, self.base_cols, self.found),
             complete=complete,
             nodes=self.nodes,
             leaves=self.leaves,

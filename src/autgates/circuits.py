@@ -155,7 +155,6 @@ class CliffordCircuit:
 def circuit_from_text(text: str, n: int | None = None) -> CliffordCircuit:
     """Parse one gate per line: 'H 0', 'SWAP 1 4', 'CNOT 0 2'; '#' comments."""
     gates: list[Gate] = []
-    maxq = -1
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -170,10 +169,14 @@ def circuit_from_text(text: str, n: int | None = None) -> CliffordCircuit:
             raise ParseError(f"line {lineno}: bad qubit index in {raw!r}") from None
         if any(q < 0 for q in qubits):
             raise ParseError(f"line {lineno}: negative qubit index in {raw!r}")
-        gates.append(Gate(name, qubits))
-        maxq = max(maxq, *qubits)
+        try:  # the arity and range rules, named by line
+            gates.append(Gate(name, qubits))
+            if n is not None:
+                CliffordCircuit(n, (gates[-1],))
+        except ParseError as exc:
+            raise ParseError(f"line {lineno}: {exc}") from None
     if n is None:
-        n = maxq + 1 if maxq >= 0 else 0
+        n = max((q + 1 for g in gates for q in g.qubits), default=0)
     return CliffordCircuit(n, tuple(gates))
 
 

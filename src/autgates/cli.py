@@ -29,7 +29,9 @@ from .cliffordmap import (
 from .codes import corpus_names, corpus_path
 from .embedded import all_pairs, discover_embedded_gates, parse_pairs_file
 from .errors import AutgatesError, NotRealizableError, ParseError
+from .gf2 import rank
 from .logsearch import (
+    check_action_matrix,
     discover_gates,
     parse_action_matrix,
     parse_target,
@@ -229,7 +231,7 @@ def cmd_gates(args) -> int:
 
 def _parse_target_arg(arg: str, k: int):
     if Path(arg).is_file():
-        return parse_action_matrix(_read_text(arg))
+        return check_action_matrix(parse_action_matrix(_read_text(arg)), k)
     return parse_target(arg, k)
 
 
@@ -238,19 +240,21 @@ def cmd_find_gate(args) -> int:
     deadline = time.monotonic() + _budget_ms(args) / 1000.0
     if args.max_2q is not None and args.max_2q < 0:
         raise ParseError("--max-2q must be >= 0, got %d" % args.max_2q)
-    disc = discover_gates(
-        code, kind=_REPS[args.rep], rows=_ROWS[args.rows], deadline=deadline
-    )
-    t = disc.tableau
-    target = _parse_target_arg(args.target, t.k)
-    group = disc.group
-    complete = disc.search.complete
+    # every input is checked before the search; k needs no tableau
+    target = _parse_target_arg(args.target, code.n - rank(code.check_matrix))
     if args.embed is not None:
         spec = (
             all_pairs(code.n)
             if args.embed == "all"
             else parse_pairs_file(_read_text(args.embed), code.n)
         )
+    disc = discover_gates(
+        code, kind=_REPS[args.rep], rows=_ROWS[args.rows], deadline=deadline
+    )
+    t = disc.tableau
+    group = disc.group
+    complete = disc.search.complete
+    if args.embed is not None:
         for kind in (RepKind.SSWAP, RepKind.SQRTXSWAP):
             emb_disc = discover_embedded_gates(code, spec, kind=kind, deadline=deadline)
             complete = complete and emb_disc.search.complete

@@ -49,6 +49,16 @@ from .permgroup import MatrixElement, StabilizerChain
 from .stabilizer import StabilizerCode, Tableau, tableau
 
 
+def check_action_matrix(u_act, k: int) -> np.ndarray:
+    """u_act as bits, if it is a 2k x 2k symplectic matrix."""
+    u = asbits(u_act)
+    if u.shape != (2 * k, 2 * k):
+        raise DimensionError("action matrix must be %d x %d, got %s" % (2 * k, 2 * k, u.shape))
+    if k and not is_symplectic(u):
+        raise NotSymplecticError("action matrix is not symplectic")
+    return u
+
+
 class LogicalActionGroup:
     """Group of logical actions, each backed by an implementing circuit.
 
@@ -67,20 +77,9 @@ class LogicalActionGroup:
             prescribed_base=tuple(1 << i for i in range(dim)),
         )
 
-    def _check_matrix(self, u_act) -> np.ndarray:
-        u = asbits(u_act)
-        dim = 2 * self.k
-        if u.shape != (dim, dim):
-            raise DimensionError(
-                "action matrix must be %d x %d, got %s" % (dim, dim, u.shape)
-            )
-        if dim and not is_symplectic(u):
-            raise NotSymplecticError("action matrix is not symplectic")
-        return u
-
     def add(self, u_act, circuit: CliffordCircuit) -> bool:
         """Register an action with a circuit; True if the group grew."""
-        u = self._check_matrix(u_act)
+        u = check_action_matrix(u_act, self.k)
         idx = len(self.generators)
         self.generators.append((u, circuit))
         return self._chain.add(MatrixElement.from_matrix(u, ((idx, 1),)))
@@ -89,7 +88,7 @@ class LogicalActionGroup:
         return self._chain.order()
 
     def contains(self, u_act) -> bool:
-        u = self._check_matrix(u_act)
+        u = check_action_matrix(u_act, self.k)
         return self._chain.contains(MatrixElement.from_matrix(u))
 
     def express(self, u_act):
@@ -98,7 +97,7 @@ class LogicalActionGroup:
         The word reads left to right in application order; None when the
         action is outside the group.
         """
-        u = self._check_matrix(u_act)
+        u = check_action_matrix(u_act, self.k)
         elt = self._chain.express(MatrixElement.from_matrix(u))
         return None if elt is None else elt.word
 

@@ -1,4 +1,4 @@
-"""Permutation groups via deterministic Schreier-Sims stabilizer chains.
+"""Stabilizer chains, by deterministic Schreier-Sims or from a strong generating set.
 
 The chain code is generic over the element type: anything that supports
 ``act``, ``compose``, ``inverse``, ``is_identity`` and ``moved_point``
@@ -27,8 +27,8 @@ a word in the user's generators: a tuple of ``(generator_index,
 exponent)`` pairs with exponent +1 or -1, read left to right in
 application order.  Words survive composition and sifting, so
 ``express`` returns elements whose words recompose exactly to the
-requested matrix.  ``PermElement`` carries none: the automorphism search
-reads only orders, membership and level generators from its chain.
+requested matrix.  ``PermElement`` carries none, and ``PermGroup`` is
+built from a given strong generating set without Schreier-Sims.
 """
 
 import numpy as np
@@ -186,7 +186,7 @@ class MatrixElement(_Element):
 
 
 class StabilizerChain:
-    """One level of a stabilizer chain built by deterministic Schreier-Sims.
+    """One level of a stabilizer chain; ``add`` runs deterministic Schreier-Sims.
 
     Generators stored at a level fix the base points of all earlier
     levels.  The orbit of the level's base point is kept as a transversal
@@ -324,39 +324,33 @@ class StabilizerChain:
 class PermGroup:
     """Group of permutations of range(degree) with exact order.
 
-    Generators are added by their image tuples.  Its elements carry no
-    words; only the logical-action chain of ``MatrixElement`` does.
+    Built from a base and strong generating set of image tuples (the
+    generators fixing each base prefix generate its pointwise stabilizer):
+    each generator goes to the first base point it moves, and each level's
+    tree is built once.  Its elements carry no words.
     """
 
-    def __init__(self, degree, generators=(), prescribed_base=()):
-        self.degree = int(degree)
-        self.chain = StabilizerChain(
-            PermElement.identity(self.degree), prescribed_base
-        )
-        for images in generators:
-            self.add_generator(images)
-
-    def add_generator(self, images):
-        """Register a generator; returns True if the group grew."""
-        gen = PermElement(images)
-        if len(gen.images) != self.degree:
-            raise ValueError("generator degree mismatch")
-        return self.chain.add(gen)
+    def __init__(self, degree, base=(), strong_generators=()):
+        self.chain = StabilizerChain(PermElement.identity(degree), base)
+        levels, node = [], self.chain
+        while node is not None and node.basepoint is not None:
+            levels.append(node)
+            node = node.stab
+        for images in strong_generators:
+            if len(images) != degree:
+                raise ValueError("generator degree mismatch")
+            level = next((lv for lv in levels if images[lv.basepoint] != lv.basepoint), None)
+            if level is None:
+                raise ValueError("generator fixes every base point")
+            level.gens.append(PermElement(images))
+        for level in levels:
+            level._rebuild_tree()
 
     def order(self):
         return self.chain.order()
 
     def contains(self, images):
         return self.chain.contains(PermElement(images))
-
-    def level_generators(self, depth):
-        """Image tuples of generators fixing the first depth base points."""
-        node = self.chain
-        for _ in range(depth):
-            if node.stab is None:
-                return []
-            node = node.stab
-        return [g.images for g in node.strong_generators()]
 
     def iter_elements(self):
         """Yield the images tuple of every element once."""

@@ -4,7 +4,8 @@ Dense complex-matrix oracles pin down sign conventions; a dense conjugated
 permutation matrix pins the symplectic of a structured permutation; a
 block-structured brute force checks automorphism groups without the
 refinement search; a breadth-first closure of binary matrices checks
-matrix groups without the stabilizer chain.
+matrix groups without the stabilizer chain; a Schreier-Sims chain checks
+a permutation group built from a given strong generating set.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from autgates.binrep import block_mixer
 from autgates.circuits import CliffordCircuit
 from autgates.gf2 import invert, mat2
 from autgates.pauli import PhasedPauli
+from autgates.permgroup import PermElement, StabilizerChain
 
 _I2 = np.eye(2, dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -224,3 +226,21 @@ def dense_logical_action_holds(circ: CliffordCircuit, checks, logicals, u_act) -
         if not (np.isclose(abs(phase), 1) and np.allclose(got, phase * want)):
             return False
     return True
+
+
+def schreier_sims(degree, gens, base=()):
+    """Stabilizer chain of the permutations gens, built by Schreier-Sims."""
+    chain = StabilizerChain(PermElement.identity(degree), base)
+    for images in gens:
+        chain.add(PermElement(images))
+    return chain
+
+
+def base_points(chain):
+    """The chain's base, level by level."""
+    points = []
+    node = chain
+    while node is not None and node.basepoint is not None:
+        points.append(node.basepoint)
+        node = node.stab
+    return tuple(points)

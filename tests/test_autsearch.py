@@ -4,14 +4,22 @@ from itertools import permutations
 from math import factorial
 
 import numpy as np
+import pytest
 
 from autgates.autsearch import matrix_automorphisms, unique_rows
 from autgates.binrep import RepKind, RowSource, build, row_augmented_matrix
+from autgates.codes import bivariate_bicycle, load
+from autgates.permgroup import PermElement
 from autgates.stabilizer import StabilizerCode
+
+from oracles import base_points, schreier_sims
 
 FIVE_QUBIT = StabilizerCode.from_strings(["XZZXI", "IXZZX", "XIXZZ", "ZXIXZ"])
 FIVE_QUBIT_CYCLIC = StabilizerCode.from_strings(
     ["XZZXI", "IXZZX", "XIXZZ", "ZXIXZ", "ZZXIX"]
+)
+STEANE = StabilizerCode.from_strings(
+    ["IIIXXXX", "IXXIIXX", "XIXIXIX", "IIIZZZZ", "IZZIIZZ", "ZIZIZIZ"]
 )
 
 
@@ -161,3 +169,81 @@ def test_unique_rows_matches_numpy_axis0():
             assert g.shape == w.shape and np.array_equal(g, w)
         keys, counts = unique_rows(a, return_counts=True)
         assert np.array_equal(keys, want[0]) and np.array_equal(counts, want[2])
+
+
+def assert_group_is_bsgs(res, rng, samples=20):
+    """res.group against a Schreier-Sims chain of res.generators on its base.
+
+    The search's group is built from its generators as a base and strong
+    generating set, with no closure; Schreier-Sims on the same base gives
+    the group they generate.  Orders and membership must agree, and each
+    level's strong generators must fix the base points above it.
+    """
+    degree = len(res.group.chain.identity.images)
+    base = base_points(res.group.chain)
+    node = res.group.chain
+    for depth in range(len(base)):
+        for g in node.strong_generators():
+            assert all(g.act(b) == b for b in base[:depth])
+        node = node.stab
+    ref = schreier_sims(degree, res.generators, base)
+    assert res.group.order() == ref.order()
+    gens = [PermElement(images) for images in res.generators]
+    for _ in range(samples):
+        elt = PermElement.identity(degree)
+        for idx in rng.integers(0, len(gens), size=8) if gens else ():
+            elt = elt.compose(gens[int(idx)])
+        a, b = rng.choice(degree, size=2, replace=False) if degree > 1 else (0, 0)
+        swap = list(range(degree))
+        swap[a], swap[b] = b, a
+        for images in (elt.images, elt.compose(PermElement(swap)).images,
+                       tuple(int(i) for i in rng.permutation(degree))):
+            assert res.group.contains(images) == ref.contains(PermElement(images))
+
+
+@pytest.mark.parametrize("code", ["n4k2d2", "n5k1d3", "steane"])
+def test_search_group_is_bsgs_small_codes(code):
+    code = STEANE if code == "steane" else load(code)
+    rng = np.random.default_rng(5)
+    for kind in RepKind:
+        rep = build(code, kind)
+        for source in RowSource:
+            res = matrix_automorphisms(*row_augmented_matrix(rep, source))
+            assert res.complete
+            assert_group_is_bsgs(res, rng)
+
+
+@pytest.mark.parametrize("name", ["bb72", "gross"])
+def test_search_group_is_bsgs_large_codes(name):
+    if name == "bb72":
+        code = load("bb72")
+    else:
+        code = bivariate_bicycle(12, 6, [(3, 0), (0, 1), (0, 2)], [(0, 3), (1, 0), (2, 0)])
+    rng = np.random.default_rng(7)
+    for kind in (RepKind.HSWAP, RepKind.THREEBLOCK):
+        rep = build(code, kind)
+        res = matrix_automorphisms(*row_augmented_matrix(rep, RowSource.AS_GIVEN))
+        assert res.complete and res.group.order() > 1
+        assert_group_is_bsgs(res, rng, samples=5)
+
+
+def test_search_group_is_bsgs_random_matrices():
+    rng = np.random.default_rng(23)
+    for trial in range(30):
+        n = int(rng.integers(1, 11))
+        m = int(rng.integers(0, 8))
+        mat = rng.integers(0, 2, size=(m, n)).astype(np.uint8)
+        colors = rng.integers(0, 3, size=m)
+        res = matrix_automorphisms(mat, colors)
+        assert res.complete
+        assert_group_is_bsgs(res, rng)
+
+
+def test_budget_stop_keeps_a_bsgs():
+    rep = build(STEANE, RepKind.THREEBLOCK)
+    mat, colors = row_augmented_matrix(rep, RowSource.ALL_CODEWORDS)
+    rng = np.random.default_rng(3)
+    for max_nodes in (1, 3, 6, 10, 20):
+        res = matrix_automorphisms(mat, colors, max_nodes=max_nodes)
+        assert not res.complete
+        assert_group_is_bsgs(res, rng)

@@ -609,6 +609,53 @@ def test_bad_circuit_file_exits_3(tmp_path, capsys):
     assert rc == 3
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("H 0\nCNOT 1\n", "line 2: CNOT takes two distinct qubits, got (1,)"),
+        ("H 0\nH 7\n", "line 2: gate H 7 out of range for 5 qubits"),
+        ("# two qubits\nSWAP 3 3\n", "line 2: SWAP takes two distinct qubits, got (3, 3)"),
+    ],
+)
+def test_circuit_file_errors_name_their_line(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    rc, out, err = run(capsys, ["verify", "n5k1d3", str(path)])
+    assert rc == 3
+    assert out == ""
+    assert "error: %s\n" % message in err
+
+
+@pytest.mark.parametrize(
+    "target, matrix, pairs",
+    [
+        ("FOO(0)", None, None),
+        ("S(99)", None, None),
+        (None, "01\n10\n", None),
+        ("S(0)", None, "0 1\n0 99\n"),
+    ],
+)
+def test_find_gate_checks_inputs_before_search(
+    tmp_path, monkeypatch, capsys, target, matrix, pairs
+):
+    # bb72 has k = 12: each input is rejected before any automorphism search
+    def no_search(*args, **kwargs):
+        raise AssertionError("discover_gates ran before the inputs were checked")
+
+    monkeypatch.setattr("autgates.cli.discover_gates", no_search)
+    if matrix is not None:
+        target = tmp_path / "target.txt"
+        target.write_text(matrix)
+    argv = ["find-gate", "bb72", "--target", str(target)]
+    if pairs is not None:
+        (tmp_path / "pairs.txt").write_text(pairs)
+        argv += ["--embed", str(tmp_path / "pairs.txt")]
+    rc, out, err = run(capsys, argv)
+    assert rc == 3
+    assert out == ""
+    assert "error: " in err
+
+
 def test_bad_pairs_file_exits_3(tmp_path, capsys):
     path = tmp_path / "pairs.txt"
     path.write_text("0 1 2\n")

@@ -8,6 +8,7 @@ from autgates.errors import SingularMatrixError
 from autgates.gf2 import rank
 from autgates.permgroup import (
     MatrixElement,
+    PermElement,
     PermGroup,
     StabilizerChain,
     cycle_string,
@@ -15,7 +16,7 @@ from autgates.permgroup import (
     invert_images,
 )
 
-from oracles import matrix_closure
+from oracles import base_points, matrix_closure, schreier_sims
 
 
 def closure(gens):
@@ -50,24 +51,33 @@ def random_perm(rng, degree):
     return tuple(images)
 
 
+def bsgs_group(degree, chain):
+    """PermGroup built from the chain's base and strong generators."""
+    gens = [g.images for g in chain.strong_generators()]
+    return PermGroup(degree, base_points(chain), gens)
+
+
 def test_known_group_orders():
     # symmetric group S_6 from a transposition and a 6-cycle
-    s6 = PermGroup(6, [(1, 0, 2, 3, 4, 5), (1, 2, 3, 4, 5, 0)])
+    s6 = schreier_sims(6, [(1, 0, 2, 3, 4, 5), (1, 2, 3, 4, 5, 0)])
     assert s6.order() == 720
+    assert bsgs_group(6, s6).order() == 720
     # cyclic group C_13
-    c13 = PermGroup(13, [tuple((i + 1) % 13 for i in range(13))])
+    c13 = schreier_sims(13, [tuple((i + 1) % 13 for i in range(13))])
     assert c13.order() == 13
     # alternating group A_4 from two 3-cycles
-    a4 = PermGroup(4, [(1, 2, 0, 3), (0, 2, 3, 1)])
+    a4 = schreier_sims(4, [(1, 2, 0, 3), (0, 2, 3, 1)])
     assert a4.order() == 12
     # a generator already in the group does not grow it
-    assert not a4.add_generator((1, 2, 0, 3))
+    assert not a4.add(PermElement((1, 2, 0, 3)))
     assert a4.order() == 12
+    assert bsgs_group(4, a4).order() == 12
     # dihedral group of the 12-gon: rotation and reflection
     rot = tuple((i + 1) % 12 for i in range(12))
     ref = tuple((-i) % 12 for i in range(12))
-    d12 = PermGroup(12, [rot, ref])
+    d12 = schreier_sims(12, [rot, ref])
     assert d12.order() == 24
+    assert bsgs_group(12, d12).order() == 24
 
 
 def test_trivial_group():
@@ -75,9 +85,15 @@ def test_trivial_group():
     assert g.order() == 1
     assert g.contains(tuple(range(5)))
     assert not g.contains((1, 0, 2, 3, 4))
-    # adding the identity does not grow the group
-    assert not g.add_generator(tuple(range(5)))
+    assert list(g.iter_elements()) == [tuple(range(5))]
+    # a base with no generators is trivial too
+    g = PermGroup(5, (2, 0))
     assert g.order() == 1
+    assert not g.contains((1, 0, 2, 3, 4))
+    # adding the identity does not grow a chain
+    chain = schreier_sims(5, [])
+    assert not chain.add(PermElement.identity(5))
+    assert chain.order() == 1
 
 
 def test_order_and_membership_match_closure():
@@ -86,13 +102,15 @@ def test_order_and_membership_match_closure():
         degree = int(rng.integers(3, 8))
         gens = [random_perm(rng, degree) for _ in range(int(rng.integers(1, 4)))]
         ref = closure(gens)
-        group = PermGroup(degree, gens)
-        assert group.order() == len(ref)
+        chain = schreier_sims(degree, gens)
+        group = bsgs_group(degree, chain)
+        assert chain.order() == group.order() == len(ref)
         for p in list(ref)[:50]:
+            assert chain.contains(PermElement(p))
             assert group.contains(p)
         for _ in range(10):
             p = random_perm(rng, degree)
-            assert group.contains(p) == (p in ref)
+            assert chain.contains(PermElement(p)) == group.contains(p) == (p in ref)
     for trial in range(20):
         # GL(5, 2) has about 10^7 elements, beyond a test's closure, so
         # several generators are drawn only up to d = 4
@@ -114,7 +132,7 @@ def test_order_and_membership_match_closure():
 
 def test_iter_elements_enumerates_group():
     gens = [(1, 2, 0, 3, 4), (0, 1, 2, 4, 3)]
-    group = PermGroup(5, gens)
+    group = bsgs_group(5, schreier_sims(5, gens))
     ref = closure(gens)
     got = list(group.iter_elements())
     assert len(got) == group.order() == len(ref)
@@ -124,31 +142,46 @@ def test_iter_elements_enumerates_group():
 def test_prescribed_base_is_respected():
     gens = [(1, 0, 2, 3, 4, 5), (1, 2, 3, 4, 5, 0)]
     base = (3, 1, 4)
-    group = PermGroup(6, gens, prescribed_base=base)
-    assert group.order() == 720
-    points = []
-    node = group.chain
-    while node is not None and node.basepoint is not None:
-        points.append(node.basepoint)
-        node = node.stab
-    assert tuple(points[:3]) == base
-    free = PermGroup(6, gens)
-    assert free.order() == 720
+    chain = schreier_sims(6, gens, base)
+    assert chain.order() == 720
+    assert base_points(chain)[:3] == base
+    assert schreier_sims(6, gens).order() == 720
 
 
 def test_level_generators_fix_base_prefix():
+    # with base 0..5, each level's generators fix the base prefix, and the
+    # stabilizer of 0 in S_6 is S_5, of 0 and 1 is S_4
     gens = [(1, 0, 2, 3, 4, 5), (1, 2, 3, 4, 5, 0)]
-    base = (0, 1, 2, 3, 4, 5)
-    group = PermGroup(6, gens, prescribed_base=base)
-    for depth in range(1, 4):
-        for images in group.level_generators(depth):
-            for t in range(depth):
-                assert images[base[t]] == base[t]
-    # stabilizer of 0 in S_6 is S_5; of 0,1 is S_4
-    lvl1 = PermGroup(6, group.level_generators(1))
-    assert lvl1.order() == 120
-    lvl2 = PermGroup(6, group.level_generators(2))
-    assert lvl2.order() == 24
+    base = tuple(range(6))
+    chain = schreier_sims(6, gens, base)
+    node, depth = chain, 0
+    while node is not None:
+        for g in node.strong_generators():
+            assert g.images[:depth] == base[:depth]
+        node, depth = node.stab, depth + 1
+    assert chain.stab.order() == 120
+    assert chain.stab.stab.order() == 24
+
+
+def test_perm_group_from_strong_generators():
+    # S_4 on base (0, 1, 2): (2 3) at level 2, (1 2 3) and (1 2) at
+    # level 1, (0 1 2 3) and (0 1) at level 0
+    base = (0, 1, 2)
+    gens = [(0, 1, 3, 2), (0, 2, 3, 1), (0, 2, 1, 3), (1, 2, 3, 0), (1, 0, 2, 3)]
+    group = PermGroup(4, base, gens)
+    assert group.order() == 24
+    assert base_points(group.chain) == base
+    assert [g.images for g in group.chain.stab.stab.gens] == [gens[0]]
+    assert set(group.iter_elements()) == closure(gens)
+    # generators are placed by the first base point they move, in any order
+    assert PermGroup(4, base, gens[::-1]).order() == 24
+    with pytest.raises(ValueError, match="degree mismatch"):
+        PermGroup(5, base, gens)
+    # in a BSGS only the identity fixes every base point
+    with pytest.raises(ValueError, match="fixes every base point"):
+        PermGroup(4, (0, 1), gens)
+    with pytest.raises(ValueError, match="fixes every base point"):
+        PermGroup(4, (), [(1, 0, 2, 3)])
 
 
 def test_cycle_string_formats():
