@@ -28,7 +28,7 @@ from .cliffordmap import (
 )
 from .codes import corpus_names, corpus_path
 from .embedded import all_pairs, discover_embedded_gates, parse_pairs_file
-from .errors import AutgatesError, NotRealizableError, ParseError
+from .errors import AutgatesError, NotRealizableError, ParseError, TooManyCodewordsError
 from .gf2 import rank
 from .logsearch import (
     check_action_matrix,
@@ -398,6 +398,9 @@ def main(argv=None) -> int:
     except NotRealizableError as exc:
         print("not realizable: %s" % exc, file=sys.stderr)
         return EXIT_NOT_REALIZABLE
+    except TooManyCodewordsError as exc:
+        print("error: %s; --rows given avoids the enumeration" % exc, file=sys.stderr)
+        return EXIT_PARSE
     except AutgatesError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_PARSE

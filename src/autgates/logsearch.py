@@ -77,12 +77,19 @@ class LogicalActionGroup:
             prescribed_base=tuple(1 << i for i in range(dim)),
         )
 
-    def add(self, u_act, circuit: CliffordCircuit) -> bool:
-        """Register an action with a circuit; True if the group grew."""
+    def add(self, u_act, circuit: CliffordCircuit, bound: int | None = None) -> bool:
+        """Register an action with a circuit; True if the group grew.
+
+        bound, if given, must be at least the order of the group that
+        every action registered so far, this one included, generates;
+        |Aut| is one when the actions are images of generators of Aut.
+        It only saves work: the group, its order and every express word
+        are as without it.  A bound that is too small gives a wrong group.
+        """
         u = check_action_matrix(u_act, self.k)
         idx = len(self.generators)
         self.generators.append((u, circuit))
-        return self._chain.add(MatrixElement.from_matrix(u, ((idx, 1),)))
+        return self._chain.add(MatrixElement.from_matrix(u, ((idx, 1),)), bound)
 
     def order(self) -> int:
         return self._chain.order()
@@ -201,6 +208,8 @@ def discover_gates(
     search = matrix_automorphisms(mat, colors, deadline=deadline)
     t = tableau(code)
     group = LogicalActionGroup(t.k)
+    # the actions are a homomorphic image of Aut, so |Aut| bounds their order
+    bound = search.group.order() if search.complete else None
     gates = []
     for images in search.generators:
         circ = perm_to_circuit(rep, images)
@@ -209,7 +218,7 @@ def discover_gates(
             raise AutgatesError(
                 "automorphism lifted to a circuit that breaks the code"
             )
-        group.add(report.u_act, circ)
+        group.add(report.u_act, circ, bound)
         gates.append(DiscoveredGate(images=images, circuit=circ, report=report))
     return DiscoveryResult(
         rep=rep, rows=rows, tableau=t, search=search, gates=gates, group=group

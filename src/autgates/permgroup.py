@@ -22,6 +22,24 @@ it holds, and that group only grows, so a generator sifted once sifts
 to the identity ever after and would change nothing.  Trees, strong
 generators and ``express`` words are those of the plain algorithm.
 
+``add`` may be given an upper bound on the order of the group generated,
+and then stops sifting Schreier generators once the chain's order, the
+product of its tree lengths, reaches it (the known-order stop of
+Schreier-Sims).  The stop is exact.  Let G_i be the group generated by
+the strong generators at level i and deeper; those at level i+1 fix
+b_0..b_i, so G_{i+1} <= Stab_{G_i}(b_i).  A tree is the orbit of b_i
+under G_i as it was when the tree was last rebuilt, so it is no larger
+than the orbit now.  Hence |tree_i| * |G_{i+1}| <= |G_i|, and the
+product of the tree lengths never exceeds |G_0|, at every point,
+mid-closure and with stale ancestor trees included.  So when that
+product equals a bound on |G_0|, every tree is a full orbit and each
+G_{i+1} is the whole stabilizer: the chain is a base and strong
+generating set, and every Schreier generator still to come would sift
+to the identity.  Only those sifts are skipped.  Each level still
+rebuilds its tree after a deeper insertion, since the new deeper
+generators come first in its breadth-first search and so change its
+transversal, and with it the words.
+
 Only ``MatrixElement``, the element of the logical-action chain, carries
 a word in the user's generators: a tuple of ``(generator_index,
 exponent)`` pairs with exponent +1 or -1, read left to right in
@@ -253,15 +271,25 @@ class StabilizerChain:
             return None
         return type(g)(g.images, invert_word(residue.word[len(g.word):]))
 
-    def add(self, gen):
-        """Add a generator; returns True if the group grew."""
+    def add(self, gen, bound=None):
+        """Add a generator; returns True if the group grew.
+
+        bound, if given, must be at least the order of the group that
+        the chain's generators and gen generate.  Once the chain's order
+        reaches it, the Schreier generators not yet sifted are skipped;
+        trees, strong generators and words are as without it.
+        """
+        stop = None if bound is None else _OrderStop(self, bound)
+        return self._add(gen, stop)
+
+    def _add(self, gen, stop):
         residue = self.sift(gen)
         if residue.is_identity():
             return False
-        self._insert(residue)
+        self._insert(residue, stop)
         return True
 
-    def _insert(self, gen):
+    def _insert(self, gen, stop):
         # gen fixes the base points of every level above this one
         if self.basepoint is None:
             self.basepoint = gen.moved_point()
@@ -269,11 +297,15 @@ class StabilizerChain:
         if gen.act(self.basepoint) == self.basepoint:
             if self.stab is None:
                 self.stab = StabilizerChain(self.identity)
-            self.stab._insert(gen)
+            self.stab._insert(gen, stop)
         else:
             self.gens.append(gen)
+        # the tree is rebuilt even once the bound is reached: the levels
+        # below may have new generators, which change its transversal
         self._rebuild_tree()
-        self._close()
+        if stop is not None:
+            stop.refresh()
+        self._close(stop)
 
     def _rebuild_tree(self):
         steps = []
@@ -294,18 +326,20 @@ class StabilizerChain:
                     queue.append(b)
         self.tree = tree
 
-    def _close(self):
+    def _close(self, stop):
         """Sift every Schreier generator not yet sifted into the stabilizer."""
         if self.stab is None:
             self.stab = StabilizerChain(self.identity)
         gens = self.strong_generators()
         for point, u in self.tree.items():
             for s in gens:
+                if stop is not None and stop.reached:
+                    return
                 v = self.tree[s.act(point)]
                 key = (u.images, s.images, v.images)
                 if key not in self.sifted:
                     self.sifted.add(key)
-                    self.stab.add(u.compose(s).compose(v.inverse()))
+                    self.stab._add(u.compose(s).compose(v.inverse()), stop)
 
     def iter_elements(self):
         """Yield every group element once, as transversal products."""
@@ -319,6 +353,21 @@ class StabilizerChain:
         for rest in deeper:
             for u in self.tree.values():
                 yield rest.compose(u)
+
+
+class _OrderStop:
+    """Whether a chain's order has reached a known upper bound."""
+
+    __slots__ = ("root", "bound", "reached")
+
+    def __init__(self, root, bound):
+        self.root = root
+        self.bound = bound
+        self.refresh()
+
+    def refresh(self):
+        # a chain's order changes only when one of its trees is rebuilt
+        self.reached = self.root.order() >= self.bound
 
 
 class PermGroup:

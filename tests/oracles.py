@@ -5,7 +5,8 @@ permutation matrix pins the symplectic of a structured permutation; a
 block-structured brute force checks automorphism groups without the
 refinement search; a breadth-first closure of binary matrices checks
 matrix groups without the stabilizer chain; a Schreier-Sims chain checks
-a permutation group built from a given strong generating set.
+a permutation group built from a given strong generating set; and a
+chain's levels, words included, compare two chains built differently.
 """
 
 from __future__ import annotations
@@ -244,3 +245,19 @@ def base_points(chain):
         points.append(node.basepoint)
         node = node.stab
     return tuple(points)
+
+
+def chain_levels(chain):
+    """Each level's base point, generators and tree, with the elements' words."""
+    levels = []
+    node = chain
+    while node is not None:
+        levels.append(
+            (
+                node.basepoint,
+                [(g.images, g.word) for g in node.gens],
+                [(point, u.images, u.word) for point, u in node.tree.items()],
+            )
+        )
+        node = node.stab
+    return levels

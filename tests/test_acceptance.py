@@ -271,19 +271,24 @@ def test_09_phase_rule_oracle_equivalence():
     assert time.perf_counter() - start < 1.0
 
 
+BB72_WORDS_SHA256 = {
+    RepKind.HSWAP: "9d284cb918f0772d11a823c37409449fe365ae894cb25cda9246cd7e079b052d",
+    RepKind.THREEBLOCK: "bee471d370b9e24063b4c9ca397943642c549bb839cb522d4ec2ac0cfaca185e",
+}
+
+
 def test_10_bicycle_code_automorphisms():
-    d = discover_gates(load("bb72"), RepKind.THREEBLOCK, RowSource.AS_GIVEN)
-    assert d.search.complete
-    assert d.search.group.order() == 864
-    assert d.group.order() == 864
-    # every element's membership word, pinned: elements are the closure
-    # of the generator actions in the order of their matrix bytes
-    elements = matrix_closure([u for u, _ in d.group.generators])
-    words = [d.group.express(elements[key]) for key in sorted(elements)]
-    assert len(words) == 864
-    assert hashlib.sha256(repr(words).encode()).hexdigest() == (
-        "bee471d370b9e24063b4c9ca397943642c549bb839cb522d4ec2ac0cfaca185e"
-    )
+    for kind, digest in BB72_WORDS_SHA256.items():
+        d = discover_gates(load("bb72"), kind, RowSource.AS_GIVEN)
+        assert d.search.complete
+        assert d.search.group.order() == 864
+        assert d.group.order() == 864
+        # every element's membership word, pinned: elements are the closure
+        # of the generator actions in the order of their matrix bytes
+        elements = matrix_closure([u for u, _ in d.group.generators])
+        words = [d.group.express(elements[key]) for key in sorted(elements)]
+        assert len(words) == 864
+        assert hashlib.sha256(repr(words).encode()).hexdigest() == digest
 
 
 GROSS_GATES_SHA256 = {

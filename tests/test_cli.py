@@ -602,6 +602,20 @@ def test_bad_target_exits_3(capsys):
     assert rc == 3
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["find-gate", "bb72", "--target", "H(0)"],  # codewords is find-gate's default
+        ["gates", "bb72", "--rows", "codewords"],
+    ],
+)
+def test_codeword_cap_error_names_rows_given(capsys, argv):
+    rc, out, err = run(capsys, argv)
+    assert rc == 3
+    assert out == ""
+    assert "error: 2**60 codewords exceed cap 65536; --rows given avoids the enumeration\n" in err
+
+
 def test_bad_circuit_file_exits_3(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_text("FOO 0\n")

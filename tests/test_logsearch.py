@@ -12,6 +12,7 @@ from autgates.cliffordmap import (
     pauli_correct_and_action,
     verify_preserves_stabilizers,
 )
+from autgates.codes import bivariate_bicycle, load
 from autgates.errors import (
     DimensionError,
     NotRealizableError,
@@ -30,8 +31,11 @@ from autgates.logsearch import (
 from autgates.permgroup import MatrixElement
 from autgates.stabilizer import StabilizerCode
 
+from oracles import chain_levels
+
 FIVE_QUBIT = ["XZZXI", "IXZZX", "XIXZZ", "ZXIXZ"]
 FOUR_QUBIT = ["XXXX", "ZZZZ"]
+STEANE = ["IIIXXXX", "IXXIIXX", "XIXIXIX", "IIIZZZZ", "IZZIIZZ", "ZIZIZIZ"]
 
 
 def bfs_closure(mats):
@@ -234,6 +238,35 @@ def test_action_chain_skips_redundant_work(monkeypatch):
     assert group.order() == 40320 * 2**8
     assert calls["rref"] == 0
     assert calls["compose"] < 2000
+
+
+def assert_bound_changes_no_level(found):
+    """The chain built with |Aut| as bound equals the chain built without."""
+    assert found.search.complete
+    plain = LogicalActionGroup(found.group.k)
+    for u, circ in found.group.generators:
+        plain.add(u, circ)
+    # the bound holds because the actions are a homomorphic image of Aut
+    assert plain.order() <= found.search.group.order()
+    assert chain_levels(found.group._chain) == chain_levels(plain._chain)
+
+
+@pytest.mark.parametrize("name", ["n4k2d2", "n5k1d3", "steane"])
+def test_order_bound_keeps_the_chain_small_codes(name):
+    code = StabilizerCode.from_strings(STEANE) if name == "steane" else load(name)
+    for kind in RepKind:
+        for rows in (RowSource.AS_GIVEN, RowSource.ALL_CODEWORDS):
+            assert_bound_changes_no_level(discover_gates(code, kind, rows))
+
+
+@pytest.mark.parametrize("kind", [RepKind.HSWAP, RepKind.THREEBLOCK])
+@pytest.mark.parametrize("name", ["bb72", "gross"])
+def test_order_bound_keeps_the_chain_large_codes(name, kind):
+    if name == "bb72":
+        code = load("bb72")
+    else:
+        code = bivariate_bicycle(12, 6, [(3, 0), (0, 1), (0, 2)], [(0, 3), (1, 0), (2, 0)])
+    assert_bound_changes_no_level(discover_gates(code, kind, RowSource.AS_GIVEN))
 
 
 def test_synthesize_rejects_bad_targets(five_qubit_discovery):

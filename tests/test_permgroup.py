@@ -16,7 +16,7 @@ from autgates.permgroup import (
     invert_images,
 )
 
-from oracles import base_points, matrix_closure, schreier_sims
+from oracles import base_points, chain_levels, matrix_closure, schreier_sims
 
 
 def closure(gens):
@@ -286,3 +286,48 @@ def test_matrix_chain_symplectic_groups():
         [[1, 0, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
     )
     assert not chain4.contains(outsider)
+
+
+def test_order_bound_skips_only_sifts(monkeypatch):
+    # Sp(4, 2), order 720, from H(0), S(0), CNOT(0,1) and CNOT(1,0).  With
+    # no prescribed base the order is reached inside a deep insertion,
+    # while the levels above still have to rebuild their trees.
+    gates = [Gate("H", (0,)), Gate("S", (0,)), Gate("CNOT", (0, 1)), Gate("CNOT", (1, 0))]
+    gens = [
+        MatrixElement.from_matrix(CliffordCircuit(2, (g,)).symplectic(), ((i, 1),))
+        for i, g in enumerate(gates)
+    ]
+    sifts = 0
+    plain_sift = StabilizerChain.sift
+
+    def counting_sift(chain, g):
+        nonlocal sifts
+        sifts += 1
+        return plain_sift(chain, g)
+
+    monkeypatch.setattr(StabilizerChain, "sift", counting_sift)
+
+    def build(bound):
+        nonlocal sifts
+        sifts = 0
+        chain = StabilizerChain(MatrixElement.identity(4))
+        grew = [chain.add(g, bound) for g in gens]
+        return chain, grew, sifts
+
+    plain, grew, plain_sifts = build(None)
+    exact, exact_grew, exact_sifts = build(720)
+    loose, loose_grew, loose_sifts = build(1440)
+    assert plain.order() == exact.order() == loose.order() == 720
+    assert exact_grew == loose_grew == grew
+    assert chain_levels(exact) == chain_levels(plain)
+    assert chain_levels(loose) == chain_levels(plain)
+    assert exact_sifts < plain_sifts == loose_sifts
+    # a chain stopped at the order of <H(0), S(0), CNOT(0,1)>, 48, then
+    # grown without a bound, sifts the skipped Schreier generators to the
+    # identity and ends as the plain chain
+    grown = StabilizerChain(MatrixElement.identity(4))
+    for g in gens[:3]:
+        grown.add(g, 48)
+    assert grown.order() == 48
+    assert grown.add(gens[3])
+    assert chain_levels(grown) == chain_levels(plain)
