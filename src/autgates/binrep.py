@@ -111,7 +111,10 @@ def row_augmented_matrix(
     """
     n = rep.n
     if rows is RowSource.AS_GIVEN:
-        g = rep.g_e
+        # a repeated check is the same stabilizer, but the search would
+        # match it as a second row; keep first occurrences, in order
+        _, first = np.unique(rep.g_e, axis=0, return_index=True)
+        g = rep.g_e[np.sort(first)]
     elif rows is RowSource.STANDARD_FORM:
         sf = standard_form(rep.code)
         std = sf.unpermute(sf.g_std)

@@ -3,7 +3,10 @@
 Every gate is defined once, by a row of GATES: its signed images of X_q and
 Z_q, its inverse word and its QASM body.  Conjugation, symplectic matrices,
 inverses and QASM are all derived from that table, and the table is checked
-against a dense unitary conjugation oracle in the test suite.
+against a dense unitary conjugation oracle in the test suite.  It also
+yields the decode table that lifts block permutations to gates
+(cliffordmap.block_gates) and, from that, the auxiliary rotations the
+embedded-code search probes (embedded.auxiliary_rotations).
 """
 
 from __future__ import annotations
@@ -182,15 +185,8 @@ def circuit_from_text(text: str, n: int | None = None) -> CliffordCircuit:
 
 def pauli_to_gates(p: PhasedPauli) -> CliffordCircuit:
     """Pauli gate layer realizing p up to global phase."""
-    gates = []
-    for q in range(p.n):
-        a, b = int(p.x[q]), int(p.z[q])
-        if a and b:
-            gates.append(Gate("Y", (q,)))
-        elif a:
-            gates.append(Gate("X", (q,)))
-        elif b:
-            gates.append(Gate("Z", (q,)))
+    letters = ("IXZY"[int(a) + 2 * int(b)] for a, b in zip(p.x, p.z))
+    gates = (Gate(letter, (q,)) for q, letter in enumerate(letters) if letter != "I")
     return CliffordCircuit(p.n, tuple(gates))
 
 

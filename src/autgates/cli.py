@@ -5,8 +5,8 @@ basis of a code file), gates (automorphism discovery with verified
 circuits), find-gate (synthesize a target logical action), and verify
 (certify a circuit file against a code).  Reports go to stdout and are
 byte-identical across runs on identical inputs; timing goes to stderr.
-Exit codes: 0 success, 2 target not realizable, 3 parse or input error,
-4 search budget exceeded.
+Exit codes: 0 success, 2 target not realizable, 3 usage, parse or input
+error, 4 search budget exceeded.
 """
 
 from __future__ import annotations
@@ -348,8 +348,16 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, with usage errors on the input-error exit code, not 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_PARSE, "%s: error: %s\n" % (self.prog, message))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="autgates",
         description="Logical Clifford gates of stabilizer codes from binary code automorphisms",
     )

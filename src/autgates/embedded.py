@@ -37,9 +37,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autsearch import AutSearchResult, matrix_automorphisms
-from .binrep import RepKind, RowSource, build, row_augmented_matrix
+from .binrep import RepKind, build, row_augmented_matrix
 from .circuits import GATES, CliffordCircuit, Gate
-from .cliffordmap import LogicalReport, pauli_correct_and_action, perm_to_circuit
+from .cliffordmap import LogicalReport, block_gates, pauli_correct_and_action, perm_to_circuit
 from .errors import (
     DimensionError,
     EmbeddedInterpretationError,
@@ -164,6 +164,12 @@ def embed(code: StabilizerCode, spec: EmbeddingSpec, basis: str = "z") -> Embedd
     return emb
 
 
+def _fixes(name: str, pauli: str) -> bool:
+    """Does the one-qubit gate map the Pauli "X" or "Z" to itself, sign
+    included?  Only gates fixing an auxiliary's parity Pauli act on it."""
+    return GATES[name].images["XZ".index(pauli)] == pauli
+
+
 def interpret(emb: EmbeddedCode, circ: CliffordCircuit) -> CliffordCircuit:
     """Map a circuit on the embedded code back to the original qubits.
 
@@ -198,17 +204,17 @@ def interpret(emb: EmbeddedCode, circ: CliffordCircuit) -> CliffordCircuit:
             continue
         if len(gate.qubits) == 1:
             a, b = pairs[gate.qubits[0] - n]
-            images = dict(zip("XZ", GATES[gate.name].images))
-            if images[parity] != parity:
+            if not _fixes(gate.name, parity):
                 raise EmbeddedInterpretationError(
                     "%s on auxiliary qubit %d has no action on the original code"
                     % (gate.name, gate.qubits[0])
                 )
-            if images[dual] == dual:  # the identity
+            dual_image = GATES[gate.name].images["XZ".index(dual)]
+            if dual_image == dual:  # the identity
                 continue
             out.append(Gate(gate.name, (a,)))
             out.append(Gate(gate.name, (b,)))
-            if images[dual].lstrip("-") != dual:  # not a Pauli
+            if dual_image.lstrip("-") != dual:  # not a Pauli
                 out.append(Gate(pair_gate, (a, b)))
             continue
         if gate.name != "SWAP":
@@ -296,12 +302,21 @@ class EmbeddedDiscovery:
     rejected: list[tuple[tuple, str]]
 
 
-def _rotation_images(kind: RepKind, n_total: int, qubit: int) -> tuple:
-    # the per-qubit column permutation of the rep's defining gate
-    perm = (1, 0) if kind.blocks == 2 else (0, 2, 1)
-    images = list(range(kind.blocks * n_total))
-    for b in range(kind.blocks):
-        images[b * n_total + qubit] = perm[b] * n_total + qubit
+def auxiliary_rotations(kind: RepKind, parity: str) -> list[tuple[int, ...]]:
+    """Block rearrangements whose gate acts on an auxiliary with this parity
+    Pauli: from block_gates, those with a gate that fixes it."""
+    return [
+        local
+        for local, name in block_gates(kind).items()
+        if name is not None and _fixes(name, parity)
+    ]
+
+
+def _rotation_images(local: tuple[int, ...], n_total: int, qubit: int) -> tuple:
+    """Column images rearranging one qubit's blocks by local."""
+    images = list(range(len(local) * n_total))
+    for b, slot in enumerate(local):
+        images[b * n_total + qubit] = slot * n_total + qubit
     return tuple(images)
 
 
@@ -309,30 +324,30 @@ def discover_embedded_gates(
     code: StabilizerCode,
     spec: EmbeddingSpec,
     kind: RepKind = RepKind.SSWAP,
-    rows: RowSource = RowSource.AS_GIVEN,
     deadline: float | None = None,
 ) -> EmbeddedDiscovery:
     """Automorphism discovery on the embedded code, mapped back and verified.
 
     The auxiliary basis follows the representation: SQRTXSWAP works on
     X-type auxiliaries, every other kind on Z-type.  Besides the search
-    generators, each single-auxiliary rotation is probed for membership
-    in the automorphism group; these probes are what produce pair
-    rotations with a single two-qubit gate.  Uninterpretable or
-    semantically unsound generators land in rejected with a reason.
+    generators, each single-auxiliary rotation (auxiliary_rotations; hswap
+    has none) is probed for membership in the automorphism group; these
+    probes are what produce pair rotations with a single two-qubit gate.
+    Uninterpretable or semantically unsound generators land in rejected
+    with a reason.
     """
     basis = "x" if kind is RepKind.SQRTXSWAP else "z"
     emb = embed(code, spec, basis=basis)
     rep = build(emb.code, kind)
-    mat, colors = row_augmented_matrix(rep, rows)
+    mat, colors = row_augmented_matrix(rep)
     search = matrix_automorphisms(mat, colors, deadline=deadline)
     t = tableau(code)
     candidates = list(search.generators)
-    if kind is not RepKind.HSWAP:
-        known = set(candidates)
-        n_total = emb.n + emb.m
+    known = set(candidates)
+    n_total = emb.n + emb.m
+    for local in auxiliary_rotations(kind, basis.upper()):
         for j in range(emb.m):
-            images = _rotation_images(kind, n_total, emb.n + j)
+            images = _rotation_images(local, n_total, emb.n + j)
             if images not in known and search.group.contains(images):
                 known.add(images)
                 candidates.append(images)

@@ -39,10 +39,6 @@ class NotStructuredError(AutgatesError):
     """Column permutation does not preserve the per-qubit block structure."""
 
 
-class NotDirectSumError(AutgatesError):
-    """Conjugated permutation matrix does not split into U + W blocks."""
-
-
 class NotSymplecticError(AutgatesError):
     """Matrix fails the symplectic form test."""
 

@@ -23,13 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autsearch import AutSearchResult, matrix_automorphisms
-from .binrep import (
-    BlockRep,
-    RepKind,
-    RowSource,
-    build,
-    row_augmented_matrix,
-)
+from .binrep import RepKind, RowSource, build, row_augmented_matrix
 from .circuits import CliffordCircuit, Gate
 from .cliffordmap import (
     LogicalReport,
@@ -183,8 +177,6 @@ class DiscoveredGate:
 class DiscoveryResult:
     """End-to-end discovery output for one code and representation."""
 
-    rep: BlockRep
-    rows: RowSource
     tableau: Tableau
     search: AutSearchResult
     gates: list[DiscoveredGate]
@@ -220,9 +212,7 @@ def discover_gates(
             )
         group.add(report.u_act, circ, bound)
         gates.append(DiscoveredGate(images=images, circuit=circ, report=report))
-    return DiscoveryResult(
-        rep=rep, rows=rows, tableau=t, search=search, gates=gates, group=group
-    )
+    return DiscoveryResult(tableau=t, search=search, gates=gates, group=group)
 
 
 _TERM_RE = re.compile(

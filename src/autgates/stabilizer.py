@@ -84,20 +84,6 @@ class StandardForm:
     phases: np.ndarray  # i-exponent of each Hermitian row i^phase X(x) Z(z)
     qubit_perm: np.ndarray  # original qubit at permuted position p is qubit_perm[p]
 
-    @property
-    def blocks(self) -> dict[str, np.ndarray]:
-        r, s, n = self.r, self.s, self.n
-        gx = self.g_std[:, :n]
-        gz = self.g_std[:, n:]
-        return {
-            "A1": gx[:r, r : r + s],
-            "A2": gx[:r, r + s :],
-            "B": gz[:r, :r],
-            "C1": gz[:r, r + s :],
-            "D": gz[r:, :r],
-            "C2": gz[r:, r + s :],
-        }
-
     def unpermute(self, rows: np.ndarray) -> np.ndarray:
         """Map (x|z) rows from the permuted frame back to original qubit order."""
         n = self.n
@@ -133,13 +119,14 @@ def standard_form(code: StabilizerCode) -> StandardForm:
 def logical_paulis(sf: StandardForm) -> tuple[np.ndarray, np.ndarray]:
     """(L_X, L_Z) rows in original qubit order, k rows each."""
     n, r, s, k = sf.n, sf.r, sf.s, sf.k
-    blocks = sf.blocks
+    a2 = sf.g_std[:r, r + s : n]
+    c1, c2 = sf.g_std[:r, n + r + s :], sf.g_std[r:, n + r + s :]
     lx = np.zeros((k, 2 * n), dtype=np.uint8)
-    lx[:, r : r + s] = blocks["C2"].T
+    lx[:, r : r + s] = c2.T
     lx[:, r + s : n] = np.eye(k, dtype=np.uint8)
-    lx[:, n : n + r] = blocks["C1"].T
+    lx[:, n : n + r] = c1.T
     lz = np.zeros((k, 2 * n), dtype=np.uint8)
-    lz[:, n : n + r] = blocks["A2"].T
+    lz[:, n : n + r] = a2.T
     lz[:, n + r + s :] = np.eye(k, dtype=np.uint8)
     return sf.unpermute(lx), sf.unpermute(lz)
 

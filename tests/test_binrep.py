@@ -103,6 +103,15 @@ def test_row_sources():
     assert tuple(int(v) for v in rep.g_e[0]) in seen
 
 
+def test_given_rows_drop_repeated_checks():
+    # a repeated check is the same stabilizer: first occurrences, in order
+    code = StabilizerCode.from_strings(["XXII", "XXXX", "XXII", "ZZZZ", "XXXX"])
+    rep = build(code, RepKind.THREEBLOCK)
+    mat, colors = row_augmented_matrix(rep, RowSource.AS_GIVEN)
+    assert np.array_equal(mat[:3], rep.g_e[[0, 1, 3]])
+    assert list(colors) == [0] * 3 + [1] * 4
+
+
 def test_codeword_cap():
     rep = build(FIVE_QUBIT, RepKind.THREEBLOCK)
     with pytest.raises(TooManyCodewordsError):

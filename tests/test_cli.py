@@ -578,6 +578,51 @@ def test_verify_json(tmp_path, capsys):
     assert doc["action_name"] == "CZ 0 1"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gates", "n5k1d3", "--rep", "foo"],
+        ["find-gate", "n5k1d3"],
+        ["gates", "n5k1d3", "--budget", "abc"],
+        ["find-gate", "n5k1d3", "--target", "H(0)", "--max-2q", "x"],
+        [],
+    ],
+)
+def test_usage_errors_exit_3(capsys, argv):
+    # argparse would exit 2, the "not realizable" code
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out = capsys.readouterr()
+    assert exc.value.code == 3
+    assert out.out == ""
+    assert out.err.startswith("usage: autgates")
+    assert "error: " in out.err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gates", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: autgates gates")
+
+
+@pytest.mark.parametrize("rep", ["hswap", "sswap", "sqrtxswap", "threeblock"])
+def test_repeated_check_keeps_the_group(tmp_path, capsys, rep):
+    # XXXX twice is still the [[4,2,2]] code, with the same automorphisms
+    path = tmp_path / "doubled.stab"
+    path.write_text("XXXX\nXXXX\nZZZZ\n")
+    docs, finds = [], []
+    for code in (str(path), "n4k2d2"):
+        rc, out, _ = run(capsys, ["gates", code, "--rep", rep, "--json"])
+        assert rc == 0
+        docs.append(json.loads(out))
+        target = ["--rows", "given", "--target", "H(0) H(1) SWAP(0,1)"]
+        finds.append(run(capsys, ["find-gate", code, "--rep", rep] + target)[0])
+    assert [doc["code"].pop("checks") for doc in docs] == [3, 2]
+    assert docs[0] == docs[1]
+    assert finds[0] == finds[1] == (0 if rep in ("hswap", "threeblock") else 2)
+
+
 def test_missing_code_file_exits_3(capsys):
     rc, _, err = run(capsys, ["analyze", "/no/such/file.stab"])
     assert rc == 3

@@ -1,7 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from autgates.binrep import RepKind, build
+from autgates.binrep import RepKind, RowSource, build
 from autgates.circuits import (
     GATES,
     ONE_QUBIT_GATES,
@@ -13,19 +15,16 @@ from autgates.circuits import (
 )
 from autgates.cliffordmap import (
     action_name,
+    block_gates,
     corrected_circuit,
     pauli_correct_and_action,
     perm_to_circuit,
-    perm_to_symplectic,
     verify_preserves_stabilizers,
 )
-from autgates.codes import load
-from autgates.errors import (
-    AutgatesError,
-    DimensionError,
-    NotStructuredError,
-)
+from autgates.codes import bivariate_bicycle, load
+from autgates.errors import DimensionError, NotStructuredError
 from autgates.gf2 import is_symplectic
+from autgates.logsearch import discover_gates
 from autgates.pauli import PhasedPauli
 from autgates.stabilizer import StabilizerCode, tableau
 
@@ -51,11 +50,9 @@ def test_single_qubit_threeblock_conversions():
         (2, 0, 1): (("GAMMADG",), np.array([[0, 1], [1, 1]], dtype=np.uint8)),
     }
     for images, (names, want_u) in cases.items():
-        u = perm_to_symplectic(rep, images)
-        assert np.array_equal(u, want_u), images
         circ = perm_to_circuit(rep, images)
         assert tuple(g.name for g in circ.gates) == names
-        assert np.array_equal(circ.symplectic(), u)
+        assert np.array_equal(circ.symplectic(), want_u), images
 
 
 def test_single_qubit_two_block_conversions():
@@ -65,10 +62,9 @@ def test_single_qubit_two_block_conversions():
         (RepKind.SQRTXSWAP, "SQRTX", [[1, 0], [1, 1]]),
     ]:
         rep = one_qubit_rep(kind)
-        u = perm_to_symplectic(rep, (1, 0))
-        assert np.array_equal(u, np.array(want_u, dtype=np.uint8))
         circ = perm_to_circuit(rep, (1, 0))
         assert [g.name for g in circ.gates] == [name]
+        assert np.array_equal(circ.symplectic(), np.array(want_u, dtype=np.uint8))
         assert len(perm_to_circuit(rep, (0, 1))) == 0
 
 
@@ -84,7 +80,6 @@ def test_qubit_permutation_gives_swap_blocks():
         want = np.zeros((2 * n, 2 * n), dtype=np.uint8)
         want[:n, :n] = q_mat
         want[n:, n:] = q_mat
-        assert np.array_equal(perm_to_symplectic(rep, images), want)
         circ = perm_to_circuit(rep, images)
         assert all(g.name == "SWAP" for g in circ.gates)
         assert np.array_equal(circ.symplectic(), want)
@@ -102,8 +97,48 @@ def test_symplectic_matches_dense_conjugated_permutation():
                     int(local[q][b] * n + sigma[q]) for b in range(kind.blocks) for q in range(n)
                 ]
                 assert np.array_equal(
-                    perm_to_symplectic(rep, images), dense_perm_symplectic(kind, images)
+                    perm_to_circuit(rep, images).symplectic(),
+                    dense_perm_symplectic(kind, images),
                 )
+
+
+@pytest.mark.parametrize("kind", list(RepKind))
+def test_block_gates_match_dense_conjugated_permutation(kind):
+    # the one lifting table, entry by entry, against E_1 P E_1^-1
+    rep = one_qubit_rep(kind)
+    perms = set(itertools.permutations(range(kind.blocks)))
+    assert set(block_gates(kind)) == perms
+    for images in perms:
+        circ = perm_to_circuit(rep, images)
+        assert len(circ) == (images != tuple(range(kind.blocks)))
+        assert np.array_equal(circ.symplectic(), dense_perm_symplectic(kind, images)), images
+
+
+def gross_code():
+    return bivariate_bicycle(12, 6, [(3, 0), (0, 1), (0, 2)], [(0, 3), (1, 0), (2, 0)])
+
+
+@pytest.mark.parametrize("rows", list(RowSource))
+@pytest.mark.parametrize("kind", list(RepKind))
+@pytest.mark.parametrize("name", ["n4k2d2", "n5k1d3", "steane"])
+def test_lifted_generators_match_dense_small_codes(name, kind, rows):
+    code = StabilizerCode.from_strings(STEANE) if name == "steane" else load(name)
+    d = discover_gates(code, kind, rows)
+    assert d.gates
+    for gate in d.gates:
+        want = dense_perm_symplectic(kind, gate.images)
+        assert np.array_equal(gate.circuit.symplectic(), want), gate.images
+
+
+@pytest.mark.parametrize("kind", [RepKind.HSWAP, RepKind.THREEBLOCK])
+@pytest.mark.parametrize("name", ["bb72", "gross"])
+def test_lifted_generators_match_dense_large_codes(name, kind):
+    code = gross_code() if name == "gross" else load(name)
+    d = discover_gates(code, kind, RowSource.AS_GIVEN)
+    assert d.search.complete and d.gates
+    for gate in d.gates:
+        want = dense_perm_symplectic(kind, gate.images)
+        assert np.array_equal(gate.circuit.symplectic(), want), gate.images
 
 
 def test_swap_chain_realizes_long_cycle():
@@ -123,10 +158,8 @@ def test_unstructured_and_malformed_permutations():
     bad = [3, 1, 2, 0, 4, 5]
     with pytest.raises(NotStructuredError):
         perm_to_circuit(rep, bad)
-    with pytest.raises(AutgatesError):
-        perm_to_symplectic(rep, bad)
     with pytest.raises(DimensionError):
-        perm_to_symplectic(rep, [0, 0, 2, 3, 4, 5])
+        perm_to_circuit(rep, [0, 0, 2, 3, 4, 5])
     with pytest.raises(DimensionError):
         perm_to_circuit(rep, [0, 1, 2])
 
@@ -148,7 +181,7 @@ def test_five_qubit_duality_is_logical_h():
     assert [str(g) for g in circ.gates] == [
         "H 0", "H 1", "H 2", "H 3", "H 4", "SWAP 1 2", "SWAP 1 4", "SWAP 1 3",
     ]
-    assert np.array_equal(circ.symplectic(), perm_to_symplectic(rep, images))
+    assert np.array_equal(circ.symplectic(), dense_perm_symplectic(rep.kind, images))
     t = tableau(code)
     report = pauli_correct_and_action(t, circ)
     assert report.valid

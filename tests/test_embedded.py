@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from autgates.binrep import RepKind, RowSource
+from autgates.binrep import RepKind, RowSource, build
 from autgates.circuits import CliffordCircuit, Gate
-from autgates.cliffordmap import corrected_circuit, verify_preserves_stabilizers
+from autgates.cliffordmap import corrected_circuit, perm_to_circuit, verify_preserves_stabilizers
 from autgates.embedded import (
     EmbeddingSpec,
     all_pairs,
+    auxiliary_rotations,
     discover_embedded_gates,
     embed,
     interpret,
@@ -268,6 +269,24 @@ def test_unsound_swap_with_free_qubit(four_qubit):
     interp = interpret(emb, circ)
     assert len(interp) == 0
     assert not interpretation_sound(emb, t, circ, interp)
+
+
+@pytest.mark.parametrize(
+    "kind, parity, rotations, gate",
+    [
+        (RepKind.HSWAP, "Z", [], None),
+        (RepKind.SSWAP, "Z", [(1, 0)], "S"),
+        (RepKind.SQRTXSWAP, "X", [(1, 0)], "SQRTX"),
+        (RepKind.THREEBLOCK, "Z", [(0, 2, 1)], "S"),
+    ],
+)
+def test_auxiliary_rotations_pinned(kind, parity, rotations, gate):
+    # the probes come from the lifting table: the rearrangement whose gate
+    # fixes the auxiliary's parity Pauli; H fixes neither, so hswap has none
+    assert auxiliary_rotations(kind, parity) == rotations
+    rep = build(StabilizerCode.from_strings(["Z"]), kind)
+    for local in rotations:
+        assert [g.name for g in perm_to_circuit(rep, local).gates] == [gate]
 
 
 def test_discovery_reduces_to_plain_when_no_pairs(four_qubit):
