@@ -8,6 +8,19 @@ counts, the first depth-first descent fixes a base path, and later
 branches are pruned by refinement traces, discovered-automorphism orbits
 and backjumps.
 
+The incidence is kept as padded adjacency lists, as nauty/Traces and
+saucy (Darga et al., DAC 2008) keep sparse graphs: each row lists its
+columns in ascending order, padded with n_cols, and each column its rows,
+padded with the row count.  Refinement keys a row by the cells of its
+columns, sorted, padded with the number of cells and negated.  That key
+sorts rows exactly as their per-cell 1-counts would: where two sorted
+lists first differ, earlier cells have equal counts and the list with
+the smaller cell has more ones in it, and the padding, the largest value,
+ranks a shorter list below a longer one.  Columns are keyed the same way
+by the row groups of their rows.  So the cells and their order are those
+of a refinement on dense count matrices, with keys only as wide as the
+largest row or column weight.
+
 The automorphisms found are a base and strong generating set, as in
 nauty/Traces (McKay & Piperno, J. Symb. Comput. 60, 2014), and build a
 PermGroup once, without Schreier-Sims.  Let b_0..b_{L-1} be the base
@@ -25,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2 import asbits, int_product
+from .gf2 import asbits
 from .permgroup import PermGroup
 
 
@@ -56,6 +69,17 @@ def unique_rows(a, **kwargs):
     return (a[first], *rest)
 
 
+def _padded_lists(major, minor, size, pad):
+    """Row i holds the minor entries of the pairs with major index i, padded with pad.
+
+    Pairs must come sorted by major index; each row keeps their order.
+    """
+    counts = np.bincount(major, minlength=size)
+    lists = np.full((size, counts.max(initial=0)), pad, dtype=np.int64)
+    lists[major, np.arange(major.size) - np.repeat(np.cumsum(counts) - counts, counts)] = minor
+    return lists
+
+
 class _Search:
     def __init__(self, matrix, row_colors, max_nodes, deadline):
         matrix = asbits(matrix)
@@ -68,15 +92,19 @@ class _Search:
         if row_colors.shape != (matrix.shape[0],):
             raise ValueError("row_colors must have one entry per row")
 
-        # dedupe rows, keeping color and multiplicity; float32 feeds _refine
-        uniq, counts = unique_rows(np.column_stack([row_colors, matrix]), return_counts=True)
+        # rows and columns as padded adjacency lists; dedupe rows, keeping
+        # color and multiplicity
+        r, c = np.nonzero(matrix)
+        radj = _padded_lists(r, c, matrix.shape[0], self.n_cols)
+        uniq, counts = unique_rows(np.column_stack([row_colors, radj]), return_counts=True)
         self.colors = uniq[:, 0]
-        self.rows = uniq[:, 1:].astype(np.float32)
+        self.radj = uniq[:, 1:]
         self.mult = counts.astype(np.int64)
-        self.row_lookup = {
-            (int(c), r.tobytes()): t
-            for t, (c, r) in enumerate(zip(self.colors, self.rows))
-        }
+        r, k = np.nonzero(self.radj < self.n_cols)
+        c = self.radj[r, k]
+        order = np.argsort(c, kind="stable")
+        self.cadj = _padded_lists(c[order], r[order], self.n_cols, len(self.radj))
+        self.row_multiset = self._row_keys(self.radj)
 
         self.max_nodes = max_nodes
         self.deadline = deadline
@@ -90,6 +118,10 @@ class _Search:
         self.found = []  # automorphisms, a strong generating set on base_cols
         self._jump = None
 
+    def _row_keys(self, lists):
+        """Sorted (color, multiplicity, list) keys of the rows, lists[t] standing for row t."""
+        return unique_rows(np.column_stack([self.colors, self.mult, lists]))[0]
+
     def _tick(self):
         self.nodes += 1
         if self.max_nodes is not None and self.nodes > self.max_nodes:
@@ -101,9 +133,10 @@ class _Search:
         """Refine a column partition to equitability.
 
         cell_id assigns each column the index of its cell; cell indices
-        are contiguous and ordered.  Splitting keys are incidence counts,
-        so the refinement commutes with any automorphism and the returned
-        trace is a node invariant safe for pruning.
+        are contiguous and ordered.  Splitting keys encode incidence counts
+        (module docstring), so the refinement commutes with any
+        automorphism and the returned trace is a node invariant safe for
+        pruning.
 
         The trace holds one hash() per step of its row and column keys,
         which would be megabytes per base-path depth on large codes.  It is
@@ -115,13 +148,13 @@ class _Search:
         trace = []
         num_cells = int(cell_id.max()) + 1 if n else 0
         while True:
-            # group rows by color, multiplicity and per-cell 1-counts
-            cnt = int_product(self.rows, np.eye(num_cells, dtype=np.float32)[cell_id])
-            row_meta = np.column_stack([self.colors, self.mult, cnt])
+            # group rows by color, multiplicity and sorted cells of their columns
+            cells = np.sort(np.append(cell_id, num_cells)[self.radj], axis=1)
+            row_meta = np.column_stack([self.colors, self.mult, -cells])
             row_keys, row_group = unique_rows(row_meta, return_inverse=True)
-            # column signatures: per row-group 1-counts, within each cell
-            gind = np.eye(row_keys.shape[0], dtype=np.float32)[row_group].T
-            col_meta = np.column_stack([cell_id, int_product(gind, self.rows).T])
+            # column signatures: sorted row groups of their rows, within each cell
+            groups = np.sort(np.append(row_group, row_keys.shape[0])[self.cadj], axis=1)
+            col_meta = np.column_stack([cell_id, -groups])
             col_keys, new_cell_id = unique_rows(col_meta, return_inverse=True)
             trace.append(hash((row_keys.shape, row_keys.tobytes(), col_keys.tobytes())))
             new_num = col_keys.shape[0]
@@ -166,14 +199,9 @@ class _Search:
 
     def _check_automorphism(self, images):
         """Row multiset must be preserved color-by-color."""
-        inv = np.empty(self.n_cols, dtype=np.int64)
-        inv[np.asarray(images)] = np.arange(self.n_cols)
-        permuted = self.rows[:, inv]
-        for t in range(self.rows.shape[0]):
-            s = self.row_lookup.get((int(self.colors[t]), permuted[t].tobytes()))
-            if s is None or self.mult[s] != self.mult[t]:
-                return False
-        return True
+        images = np.append(np.asarray(images, dtype=np.int64), self.n_cols)
+        mapped = np.sort(images[self.radj], axis=1)
+        return np.array_equal(self._row_keys(mapped), self.row_multiset)
 
     def _explore(self, cell_id, depth, on_base, div_depth):
         self._tick()

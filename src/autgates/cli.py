@@ -108,14 +108,11 @@ def _action_rows(u_act) -> list[str]:
     return [_bits(row) for row in u_act]
 
 
-def _emit(doc: dict, as_json: bool, lines: list[str]) -> None:
-    if as_json:
-        print(json.dumps(doc, indent=2))
-    else:
-        print("\n".join(lines))
+def _report(doc: dict, as_json: bool, lines: list[str]) -> str:
+    return (json.dumps(doc, indent=2) if as_json else "\n".join(lines)) + "\n"
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> tuple[int, str]:
     code = _load_code(args.code)
     sf = standard_form(code)
     lx, lz = logical_paulis(sf)
@@ -157,8 +154,7 @@ def cmd_analyze(args) -> int:
     lines.append("destabilizers:")
     lines += ["  " + s for s in dst_str]
     lines.append("tableau: symplectic")
-    _emit(doc, args.json, lines)
-    return EXIT_OK
+    return EXIT_OK, _report(doc, args.json, lines)
 
 
 def _gate_entry(images, circ: CliffordCircuit, report) -> dict:
@@ -182,7 +178,7 @@ def _gate_lines(idx: int, entry: dict) -> list[str]:
     ]
 
 
-def cmd_gates(args) -> int:
+def cmd_gates(args) -> tuple[int, str]:
     code = _load_code(args.code)
     deadline = time.monotonic() + _budget_ms(args) / 1000.0
     disc = discover_gates(
@@ -225,8 +221,8 @@ def cmd_gates(args) -> int:
     ]
     for idx, entry in enumerate(entries):
         lines += _gate_lines(idx, entry)
-    _emit(doc, args.json, lines)
-    return EXIT_OK if disc.search.complete else EXIT_BUDGET
+    rc = EXIT_OK if disc.search.complete else EXIT_BUDGET
+    return rc, _report(doc, args.json, lines)
 
 
 def _parse_target_arg(arg: str, k: int):
@@ -235,7 +231,7 @@ def _parse_target_arg(arg: str, k: int):
     return parse_target(arg, k)
 
 
-def cmd_find_gate(args) -> int:
+def cmd_find_gate(args) -> tuple[int, str]:
     code = _load_code(args.code)
     deadline = time.monotonic() + _budget_ms(args) / 1000.0
     if args.max_2q is not None and args.max_2q < 0:
@@ -267,7 +263,7 @@ def cmd_find_gate(args) -> int:
     except NotRealizableError:
         if not complete:
             print("search budget exceeded; result inconclusive", file=sys.stderr)
-            return EXIT_BUDGET
+            return EXIT_BUDGET, ""
         raise
     if not verify_preserves_stabilizers(
         t, result.corrected
@@ -289,25 +285,21 @@ def cmd_find_gate(args) -> int:
         "search_complete": complete,
         **entry,
     }
-    if args.json:
-        print(json.dumps(doc, indent=2))
-    elif args.qasm:
-        print(circuit_to_qasm(result.corrected), end="")
-    else:
-        lines = [
-            "# code: n=%d k=%d" % (code.n, t.k),
-            "# target: %s" % args.target,
-            "# action: %s" % ";".join(entry["action"]),
-            "# action name: %s" % (entry["action_name"] or "-"),
-            "# correction: %s" % entry["correction"],
-            "# gates follow, correction first",
-        ]
-        lines += entry["circuit"]
-        print("\n".join(lines))
-    return EXIT_OK
+    if args.qasm and not args.json:
+        return EXIT_OK, circuit_to_qasm(result.corrected)
+    lines = [
+        "# code: n=%d k=%d" % (code.n, t.k),
+        "# target: %s" % args.target,
+        "# action: %s" % ";".join(entry["action"]),
+        "# action name: %s" % (entry["action_name"] or "-"),
+        "# correction: %s" % entry["correction"],
+        "# gates follow, correction first",
+    ]
+    lines += entry["circuit"]
+    return EXIT_OK, _report(doc, args.json, lines)
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[int, str]:
     code = _load_code(args.code)
     circ = circuit_from_text(_read_text(args.circuit), n=code.n)
     t = tableau(code)
@@ -344,8 +336,7 @@ def cmd_verify(args) -> int:
     else:
         doc["reason"] = reason
         lines.append("reason: %s" % reason)
-    _emit(doc, args.json, lines)
-    return EXIT_OK
+    return EXIT_OK, _report(doc, args.json, lines)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -402,7 +393,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     start = time.monotonic()
     try:
-        rc = args.func(args)
+        rc, out = args.func(args)
+        try:
+            sys.stdout.write(out)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader closed stdout early; point stdout at devnull so
+            # that the flush at exit cannot raise again (Python signal docs)
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     except NotRealizableError as exc:
         print("not realizable: %s" % exc, file=sys.stderr)
         return EXIT_NOT_REALIZABLE

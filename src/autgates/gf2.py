@@ -5,6 +5,9 @@ target codes here have at most a few hundred columns, so dense storage is
 fine and keeps every kernel a couple of numpy calls.  Products go through
 BLAS on 0/1 operands cast to float32 (int_product): an entry counts at most
 k ones, k the inner dimension, so it is exact for k < 2**24; larger k raises.
+int_product serves only mat2 and pauli.row_products; the automorphism
+search keeps its incidence as adjacency lists and uses neither BLAS nor
+dense storage.
 """
 
 from __future__ import annotations

@@ -5,8 +5,10 @@ permutation matrix pins the symplectic of a structured permutation; a
 block-structured brute force checks automorphism groups without the
 refinement search; a breadth-first closure of binary matrices checks
 matrix groups without the stabilizer chain; a Schreier-Sims chain checks
-a permutation group built from a given strong generating set; and a
-chain's levels, words included, compare two chains built differently.
+a permutation group built from a given strong generating set; a chain's
+levels, words included, compare two chains built differently; and a
+refinement on dense incidence counts checks the search's refinement on
+adjacency lists.
 """
 
 from __future__ import annotations
@@ -227,6 +229,40 @@ def dense_logical_action_holds(circ: CliffordCircuit, checks, logicals, u_act) -
         if not (np.isclose(abs(phase), 1) and np.allclose(got, phase * want)):
             return False
     return True
+
+
+def dense_refine(rows, colors, mult, cell_id):
+    """Equitable refinement of a column partition from dense incidence counts.
+
+    rows are the distinct rows of a 0/1 matrix, with their colors and
+    multiplicities.  Each step groups the rows by color, multiplicity and
+    1-count in every cell, then splits each cell by its columns' 1-counts
+    in every row group; it stops when no cell splits.  Returns the final
+    cell_id, the number of cells, and per step the row and column keys.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    n = rows.shape[1]
+    cell_id = np.asarray(cell_id, dtype=np.int64)
+    trace = []
+    num_cells = int(cell_id.max()) + 1 if n else 0
+    while True:
+        cnt = rows @ np.eye(num_cells, dtype=np.int64)[cell_id]
+        row_keys, row_group = np.unique(
+            np.column_stack([colors, mult, cnt]), axis=0, return_inverse=True
+        )
+        gind = np.eye(row_keys.shape[0], dtype=np.int64)[row_group.ravel()]
+        col_keys, new_cell_id = np.unique(
+            np.column_stack([cell_id, (gind.T @ rows).T]), axis=0, return_inverse=True
+        )
+        trace.append((row_keys.shape, row_keys.tobytes(), col_keys.shape, col_keys.tobytes()))
+        new_num = col_keys.shape[0]
+        if new_num == num_cells:
+            break
+        cell_id = new_cell_id.ravel().astype(np.int64)
+        num_cells = new_num
+        if num_cells == n:
+            break
+    return cell_id, num_cells, tuple(trace)
 
 
 def schreier_sims(degree, gens, base=()):

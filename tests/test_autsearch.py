@@ -1,18 +1,19 @@
 """Automorphism search tests: known orders plus brute-force oracles."""
 
+import tracemalloc
 from itertools import permutations
 from math import factorial
 
 import numpy as np
 import pytest
 
-from autgates.autsearch import matrix_automorphisms, unique_rows
+from autgates.autsearch import _Search, matrix_automorphisms, unique_rows
 from autgates.binrep import RepKind, RowSource, build, row_augmented_matrix
 from autgates.codes import bivariate_bicycle, load
 from autgates.permgroup import PermElement
 from autgates.stabilizer import StabilizerCode
 
-from oracles import base_points, schreier_sims
+from oracles import base_points, dense_refine, schreier_sims
 
 FIVE_QUBIT = StabilizerCode.from_strings(["XZZXI", "IXZZX", "XIXZZ", "ZXIXZ"])
 FIVE_QUBIT_CYCLIC = StabilizerCode.from_strings(
@@ -169,6 +170,77 @@ def test_unique_rows_matches_numpy_axis0():
             assert g.shape == w.shape and np.array_equal(g, w)
         keys, counts = unique_rows(a, return_counts=True)
         assert np.array_equal(keys, want[0]) and np.array_equal(counts, want[2])
+
+
+def refine_cases(rng, count):
+    """(matrix, row colors, starting cell_id): edge cases, then random ones."""
+    z = np.zeros
+    cases = [
+        (z((0, 5), np.uint8), z(0), np.array([0, 0, 1, 1, 1])),  # no rows
+        (np.ones((4, 1), np.uint8), [0, 1, 0, 1], [0]),  # one column
+        (z((6, 1), np.uint8), z(6), [0]),
+        (z((3, 4), np.uint8), z(3), [0, 1, 0, 1]),  # all zero
+        (np.array([[1, 1, 0], [1, 1, 0], [0, 0, 0], [0, 1, 1]], np.uint8), z(4), z(3, int)),
+    ]
+    while len(cases) < count:
+        r, c = int(rng.integers(0, 41)), int(rng.integers(1, 41))
+        m = (rng.random((r, c)) < 0.5 * rng.random()).astype(np.uint8)
+        if r and rng.random() < 0.3:
+            m = m[rng.integers(0, r, size=r)]  # repeated rows
+        m[rng.random(r) < 0.2 * rng.random()] = 0  # all-zero rows
+        m[:, rng.random(c) < 0.2 * rng.random()] = 0  # all-zero columns
+        colors = rng.integers(0, rng.integers(1, 4), size=r)
+        labels = rng.integers(0, rng.integers(1, c + 1), size=c)
+        cases.append((m, colors, np.unique(labels, return_inverse=True)[1]))
+    return cases
+
+
+def relabeled(rng, case):
+    """The case with rows and columns permuted, and maybe one bit flipped."""
+    m, colors, cell_id = case
+    rows, cols = rng.permutation(m.shape[0]), rng.permutation(m.shape[1])
+    m = m[rows][:, cols].copy()
+    if m.size and rng.random() < 0.5:
+        m[rng.integers(0, m.shape[0]), rng.integers(0, m.shape[1])] ^= 1
+    return m, np.asarray(colors)[rows], np.asarray(cell_id)[cols]
+
+
+def test_refine_matches_dense_oracle():
+    rng = np.random.default_rng(29)
+    cases = refine_cases(rng, 200)
+    cases += [relabeled(rng, case) for case in cases]
+    sparse, dense = [], []
+    for m, colors, cell_id in cases:
+        keys, mult = np.unique(
+            np.column_stack([colors, m]).astype(np.int64), axis=0, return_counts=True
+        )
+        want = dense_refine(keys[:, 1:], keys[:, 0], mult, cell_id)
+        got = _Search(m, colors, None, None)._refine(np.asarray(cell_id, dtype=np.int64))
+        assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+        sparse.append(got[2])
+        dense.append(want[2])
+    equal_pairs = 0
+    for i in range(len(cases)):
+        for j in range(i):
+            assert (sparse[i] == sparse[j]) == (dense[i] == dense[j])
+            equal_pairs += dense[i] == dense[j]
+    assert equal_pairs >= 50
+
+
+def test_cycle_incidence_search_stays_small():
+    """Vertices of a 300-cycle as columns, its edges as rows: the dihedral group."""
+    n = 300
+    m = np.zeros((n, n), dtype=np.uint8)
+    m[np.arange(n), np.arange(n)] = 1
+    m[np.arange(n), (np.arange(n) + 1) % n] = 1
+    tracemalloc.start()
+    try:
+        res = matrix_automorphisms(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.complete and res.group.order() == 2 * n
+    assert peak < 3 * 2**20
 
 
 def assert_group_is_bsgs(res, rng, samples=20):

@@ -1,11 +1,16 @@
 """End-to-end tests for the command line interface.
 
 Everything runs in-process through main(argv) so exit codes and exact
-stdout bytes can be asserted.  Timing goes to stderr only, so stdout
-must be identical across repeated runs of the same command.
+stdout bytes can be asserted, except the closed-pipe test, which needs a
+real pipe.  Timing goes to stderr only, so stdout must be identical
+across repeated runs of the same command.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +23,8 @@ from autgates.pauli import PhasedPauli
 from autgates.stabilizer import parse_code_file, tableau
 
 from oracles import dense_logical_action_holds
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 ANALYZE_N5 = """\
 code: n=5 k=1 checks=4
@@ -722,3 +729,28 @@ def test_bad_pairs_file_exits_3(tmp_path, capsys):
         capsys, ["find-gate", "n4k2d2", "--target", "S(0)", "--embed", str(path)]
     )
     assert rc == 3
+
+
+# bb72 fits in the pipe's buffer, so its write may finish before the reader
+# closes; the 200-qubit repetition code's report (about 120 kB) cannot
+@pytest.mark.parametrize(
+    "argv",
+    [["gates", "bb72", "--rep", "hswap"], ["analyze", "rep200.stab"]],
+    ids=["gates", "analyze"],
+)
+def test_closed_stdout_exits_quietly(tmp_path, argv):
+    n = 200
+    (tmp_path / "rep200.stab").write_text(
+        "".join("I" * i + "ZZ" + "I" * (n - 2 - i) + "\n" for i in range(n - 1))
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    with subprocess.Popen(
+        [sys.executable, "-m", "autgates.cli", *argv],
+        cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    ) as proc:
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) in {0, 2, 3, 4}
+    assert "Traceback" not in err and "Exception ignored" not in err
