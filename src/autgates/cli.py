@@ -262,7 +262,7 @@ def cmd_find_gate(args) -> tuple[int, str]:
         result = synthesize(group, target, t)
     except NotRealizableError:
         if not complete:
-            print("search budget exceeded; result inconclusive", file=sys.stderr)
+            _write(sys.stderr, "search budget exceeded; result inconclusive\n")
             return EXIT_BUDGET, ""
         raise
     if not verify_preserves_stabilizers(
@@ -389,30 +389,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write(stream, text):
+    """Write and flush text; a reader that closed the stream early is no error.
+
+    The stream is then pointed at devnull, so that the flush at exit cannot
+    raise again (Python signal docs), and the run keeps its own exit code.
+    """
+    try:
+        stream.write(text)
+        stream.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     start = time.monotonic()
     try:
         rc, out = args.func(args)
-        try:
-            sys.stdout.write(out)
-            sys.stdout.flush()
-        except BrokenPipeError:
-            # the reader closed stdout early; point stdout at devnull so
-            # that the flush at exit cannot raise again (Python signal docs)
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _write(sys.stdout, out)
     except NotRealizableError as exc:
-        print("not realizable: %s" % exc, file=sys.stderr)
+        _write(sys.stderr, "not realizable: %s\n" % exc)
         return EXIT_NOT_REALIZABLE
     except TooManyCodewordsError as exc:
-        print("error: %s; --rows given avoids the enumeration" % exc, file=sys.stderr)
+        _write(sys.stderr, "error: %s; --rows given avoids the enumeration\n" % exc)
         return EXIT_PARSE
     except AutgatesError as exc:
-        print("error: %s" % exc, file=sys.stderr)
+        _write(sys.stderr, "error: %s\n" % exc)
         return EXIT_PARSE
     finally:
         elapsed = (time.monotonic() - start) * 1000.0
-        print("elapsed: %.1f ms" % elapsed, file=sys.stderr)
+        _write(sys.stderr, "elapsed: %.1f ms\n" % elapsed)
     return rc
 
 

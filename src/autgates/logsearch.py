@@ -75,8 +75,9 @@ class LogicalActionGroup:
         """Register an action with a circuit; True if the group grew.
 
         bound, if given, must be at least the order of the group that
-        every action registered so far, this one included, generates;
-        |Aut| is one when the actions are images of generators of Aut.
+        every action registered so far, this one included, generates.
+        When those are the images of the first j search generators, the
+        order of the group these generate is one (PermGroup.prefix_orders).
         It only saves work: the group, its order and every express word
         are as without it.  A bound that is too small gives a wrong group.
         """
@@ -200,10 +201,12 @@ def discover_gates(
     search = matrix_automorphisms(mat, colors, deadline=deadline)
     t = tableau(code)
     group = LogicalActionGroup(t.k)
-    # the actions are a homomorphic image of Aut, so |Aut| bounds their order
-    bound = search.group.order() if search.complete else None
+    # the first j actions are a homomorphic image of the group that the
+    # first j search generators generate, so its exact order bounds theirs;
+    # it is exact for the group found also when the search was cut short
+    bounds = search.group.prefix_orders()
     gates = []
-    for images in search.generators:
+    for images, bound in zip(search.generators, bounds):
         circ = perm_to_circuit(rep, images)
         report = pauli_correct_and_action(t, circ)
         if not report.valid:  # pragma: no cover

@@ -47,7 +47,18 @@ application order.  Words survive composition and sifting, so
 ``express`` returns elements whose words recompose exactly to the
 requested matrix.  ``PermElement`` carries none, and ``PermGroup`` is
 built from a given strong generating set without Schreier-Sims.
+
+``PermGroup.prefix_orders`` gives the exact order of the group H_j that
+the first j strong generators generate, when their levels never increase,
+as the automorphism search returns them.  Let g_j move b_i first, and let
+G^(i) be the group the generators at level i and deeper generate, the
+stabilizer of b_0..b_{i-1}.  Then H_j <= G^(i), as g_1..g_j all fix
+b_0..b_{i-1}, and G^(i+1) <= H_j, as every deeper generator comes before
+g_j; so Stab_{H_j}(b_i) = G^(i+1), and |H_j| is the orbit length of b_i
+under g_1..g_j times the deeper tree lengths.
 """
+
+import math
 
 import numpy as np
 
@@ -381,22 +392,44 @@ class PermGroup:
 
     def __init__(self, degree, base=(), strong_generators=()):
         self.chain = StabilizerChain(PermElement.identity(degree), base)
-        levels, node = [], self.chain
+        self.levels, node = [], self.chain
         while node is not None and node.basepoint is not None:
-            levels.append(node)
+            self.levels.append(node)
             node = node.stab
+        self.generators, self.depths = [], []  # images and level, in the order given
         for images in strong_generators:
             if len(images) != degree:
                 raise ValueError("generator degree mismatch")
-            level = next((lv for lv in levels if images[lv.basepoint] != lv.basepoint), None)
-            if level is None:
+            depth = next((i for i, lv in enumerate(self.levels)
+                          if images[lv.basepoint] != lv.basepoint), None)
+            if depth is None:
                 raise ValueError("generator fixes every base point")
-            level.gens.append(PermElement(images))
-        for level in levels:
+            self.levels[depth].gens.append(PermElement(images))
+            self.generators.append(tuple(images))
+            self.depths.append(depth)
+        for level in self.levels:
             level._rebuild_tree()
 
     def order(self):
         return self.chain.order()
+
+    def prefix_orders(self):
+        """Order of the group that each prefix of the strong generators generates.
+
+        Needs generator levels that never increase (module docstring).
+        """
+        orders = []
+        for j, depth in enumerate(self.depths):
+            if j and depth > self.depths[j - 1]:
+                raise ValueError("generator levels increase")
+            # the orbit of its base point under generators 0..j, breadth first
+            gens = self.generators[:j + 1]
+            orbit = frontier = {self.levels[depth].basepoint}
+            while frontier:
+                frontier = {g[p] for p in frontier for g in gens} - orbit
+                orbit |= frontier
+            orders.append(len(orbit) * math.prod(len(lv.tree) for lv in self.levels[depth + 1:]))
+        return orders
 
     def contains(self, images):
         return self.chain.contains(PermElement(images))

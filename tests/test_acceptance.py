@@ -313,3 +313,18 @@ def test_11_gross_code_gates(tmp_path, capsys):
         assert doc["action_group_order"] == 144
         assert hashlib.sha256(out.encode()).hexdigest() == GROSS_GATES_SHA256[rep]
     assert time.perf_counter() - start < 3.0
+
+
+ICEBERG34_GATES_SHA256 = "172e46165b86660c57b9915f8d19c803f4eab7b3a2eefa7b6925355d618da7c4"
+
+
+def test_12_iceberg_code_gates(tmp_path, capsys):
+    """gates --json on the [[34,32,2]] iceberg code, whose action chain has k = 32."""
+    path = tmp_path / "iceberg34.stab"
+    path.write_text("X" * 34 + "\n" + "Z" * 34 + "\n")
+    start = time.perf_counter()
+    rc = main(["gates", str(path), "--rep", "hswap", "--json"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ICEBERG34_GATES_SHA256
+    assert time.perf_counter() - start < 3.0

@@ -249,7 +249,8 @@ def assert_group_is_bsgs(res, rng, samples=20):
     The search's group is built from its generators as a base and strong
     generating set, with no closure; Schreier-Sims on the same base gives
     the group they generate.  Orders and membership must agree, and each
-    level's strong generators must fix the base points above it.
+    level's strong generators must fix the base points above it.  So must
+    the order of the group each prefix of the generators generates.
     """
     degree = len(res.group.chain.identity.images)
     base = base_points(res.group.chain)
@@ -260,6 +261,10 @@ def assert_group_is_bsgs(res, rng, samples=20):
         node = node.stab
     ref = schreier_sims(degree, res.generators, base)
     assert res.group.order() == ref.order()
+    assert res.group.prefix_orders() == [
+        schreier_sims(degree, res.generators[:j], base).order()
+        for j in range(1, len(res.generators) + 1)
+    ]
     gens = [PermElement(images) for images in res.generators]
     for _ in range(samples):
         elt = PermElement.identity(degree)

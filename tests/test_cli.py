@@ -1,7 +1,7 @@
 """End-to-end tests for the command line interface.
 
 Everything runs in-process through main(argv) so exit codes and exact
-stdout bytes can be asserted, except the closed-pipe test, which needs a
+stdout bytes can be asserted, except the closed-pipe tests, which need a
 real pipe.  Timing goes to stderr only, so stdout must be identical
 across repeated runs of the same command.
 """
@@ -754,3 +754,21 @@ def test_closed_stdout_exits_quietly(tmp_path, argv):
         err = proc.stderr.read().decode()
         assert proc.wait(timeout=120) in {0, 2, 3, 4}
     assert "Traceback" not in err and "Exception ignored" not in err
+
+
+def test_closed_stderr_keeps_the_exit_code(tmp_path):
+    # as in "analyze rep400.stab 2>&1 | head -1": stdout and stderr share
+    # one pipe, which the reader closes before "elapsed" is written
+    n = 400
+    (tmp_path / "rep400.stab").write_text(
+        "".join("I" * i + "ZZ" + "I" * (n - 2 - i) + "\n" for i in range(n - 1))
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    with subprocess.Popen(
+        [sys.executable, "-m", "autgates.cli", "analyze", "rep400.stab"],
+        cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+    ) as proc:
+        assert proc.stdout.readline().startswith(b"code: n=400 k=1")
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 0

@@ -1,6 +1,10 @@
+import functools
+
 import numpy as np
 import pytest
 
+from autgates import logsearch
+from autgates.autsearch import matrix_automorphisms
 from autgates.binrep import RepKind, RowSource
 from autgates.circuits import (
     ONE_QUBIT_GATES,
@@ -28,7 +32,7 @@ from autgates.logsearch import (
     parse_target,
     synthesize,
 )
-from autgates.permgroup import MatrixElement
+from autgates.permgroup import MatrixElement, StabilizerChain
 from autgates.stabilizer import StabilizerCode
 
 from oracles import chain_levels
@@ -240,13 +244,14 @@ def test_action_chain_skips_redundant_work(monkeypatch):
     assert calls["compose"] < 2000
 
 
-def assert_bound_changes_no_level(found):
-    """The chain built with |Aut| as bound equals the chain built without."""
-    assert found.search.complete
+def assert_bound_changes_no_level(found, complete=True):
+    """The chain built with the prefix orders as bounds equals the chain built without."""
+    assert found.search.complete == complete
     plain = LogicalActionGroup(found.group.k)
     for u, circ in found.group.generators:
         plain.add(u, circ)
-    # the bound holds because the actions are a homomorphic image of Aut
+    # the bounds hold because the actions are a homomorphic image of the
+    # group found, also when the search was cut short
     assert plain.order() <= found.search.group.order()
     assert chain_levels(found.group._chain) == chain_levels(plain._chain)
 
@@ -267,6 +272,44 @@ def test_order_bound_keeps_the_chain_large_codes(name, kind):
     else:
         code = bivariate_bicycle(12, 6, [(3, 0), (0, 1), (0, 2)], [(0, 3), (1, 0), (2, 0)])
     assert_bound_changes_no_level(discover_gates(code, kind, RowSource.AS_GIVEN))
+
+
+def test_order_bound_keeps_the_chain_budget_cut(monkeypatch):
+    # node budgets that cut each search after 0 to 6 generators
+    cut = [(StabilizerCode.from_strings(STEANE), RepKind.THREEBLOCK, RowSource.ALL_CODEWORDS, m)
+           for m in (1, 3, 6, 10, 20)]
+    cut += [(load("bb72"), kind, RowSource.AS_GIVEN, m)
+            for kind in (RepKind.HSWAP, RepKind.THREEBLOCK) for m in (8, 12, 15)]
+    for code, kind, rows, max_nodes in cut:
+        monkeypatch.setattr(
+            logsearch, "matrix_automorphisms",
+            functools.partial(matrix_automorphisms, max_nodes=max_nodes),
+        )
+        assert_bound_changes_no_level(discover_gates(code, kind, rows), complete=False)
+
+
+@pytest.mark.parametrize(
+    "checks", [["X" * 18, "Z" * 18], ["Z" + "I" * 8]], ids=["iceberg18", "z8"]
+)
+def test_order_bound_keeps_the_chain_many_logical_qubits(checks):
+    code = StabilizerCode.from_strings(checks)
+    assert_bound_changes_no_level(discover_gates(code, RepKind.HSWAP, RowSource.AS_GIVEN))
+
+
+def test_prefix_orders_stop_the_bb72_sifts(monkeypatch):
+    # with |Aut| as the only bound, every insert but the last closed its
+    # group in full: 1,016 sifts
+    calls = [0]
+    add = StabilizerChain._add
+
+    def counted(self, gen, stop):
+        calls[0] += 1
+        return add(self, gen, stop)
+
+    monkeypatch.setattr(StabilizerChain, "_add", counted)
+    found = discover_gates(load("bb72"), RepKind.HSWAP, RowSource.AS_GIVEN)
+    assert found.group.order() == 864
+    assert calls[0] < 100
 
 
 def test_synthesize_rejects_bad_targets(five_qubit_discovery):

@@ -184,6 +184,22 @@ def test_perm_group_from_strong_generators():
         PermGroup(4, (), [(1, 0, 2, 3)])
 
 
+def test_prefix_orders():
+    # S_4 on base (0, 1, 2), generators deepest level first
+    base = (0, 1, 2)
+    gens = [(0, 1, 3, 2), (0, 2, 3, 1), (0, 2, 1, 3), (1, 2, 3, 0), (1, 0, 2, 3)]
+    assert PermGroup(4, base, gens).prefix_orders() == [2, 6, 6, 24, 24]
+    # (1 2) alone moves 1 to 2 only; with the deeper (2 3) it reaches 3
+    swaps = [(0, 1, 3, 2), (0, 2, 1, 3), (1, 0, 2, 3)]
+    assert PermGroup(4, base, swaps).prefix_orders() == [2, 6, 24]
+    assert PermGroup(5).prefix_orders() == []
+    # the orders are exact only when the levels never increase
+    with pytest.raises(ValueError, match="levels increase"):
+        PermGroup(4, base, gens[::-1]).prefix_orders()
+    with pytest.raises(ValueError, match="levels increase"):
+        PermGroup(4, base, [swaps[1], swaps[0]]).prefix_orders()
+
+
 def test_cycle_string_formats():
     assert cycle_string((0, 1, 2)) == "()"
     assert cycle_string((1, 0, 2)) == "(0 1)"
