@@ -26,7 +26,7 @@ from .cliffordmap import (
     pauli_correct_and_action,
     verify_preserves_stabilizers,
 )
-from .codes import corpus_names, corpus_path
+from .codes import corpus_names, load
 from .embedded import all_pairs, discover_embedded_gates, parse_pairs_file
 from .errors import AutgatesError, NotRealizableError, ParseError, TooManyCodewordsError
 from .gf2 import rank
@@ -54,13 +54,9 @@ EXIT_BUDGET = 4
 
 DEFAULT_BUDGET_MS = 60000.0
 
-_REPS = {
-    "hswap": RepKind.HSWAP,
-    "sswap": RepKind.SSWAP,
-    "sqrtxswap": RepKind.SQRTXSWAP,
-    "threeblock": RepKind.THREEBLOCK,
-}
-_ROWS = {"given": RowSource.AS_GIVEN, "codewords": RowSource.ALL_CODEWORDS}
+_REP_CHOICES = sorted(kind.value for kind in RepKind)
+# the standard-form row source is offered by the library only
+_ROW_CHOICES = sorted(rows.value for rows in (RowSource.AS_GIVEN, RowSource.ALL_CODEWORDS))
 
 
 def _read_text(path: str) -> str:
@@ -74,14 +70,15 @@ def _load_code(arg: str):
     if Path(arg).is_file():
         return parse_code_file(_read_text(arg))
     if arg in corpus_names():
-        return parse_code_file(corpus_path(arg).read_text())
+        return load(arg)
     raise ParseError(
         "no such code file or bundled name: %r (bundled: %s)"
         % (arg, ", ".join(corpus_names()))
     )
 
 
-def _budget_ms(args) -> float:
+def _deadline(args) -> float:
+    """time.monotonic() value at which the search stops."""
     if getattr(args, "budget", None) is not None:
         budget, source = args.budget, "--budget"
     else:
@@ -93,7 +90,7 @@ def _budget_ms(args) -> float:
         raise ParseError("%s must be a number, got %r" % (source, budget)) from None
     if not budget >= 0:  # also rejects nan, which no deadline comparison would end
         raise ParseError("%s must be a number >= 0, got %r" % (source, budget))
-    return budget
+    return time.monotonic() + budget / 1000.0
 
 
 def _bits(row) -> str:
@@ -112,6 +109,23 @@ def _report(doc: dict, as_json: bool, lines: list[str]) -> str:
     return (json.dumps(doc, indent=2) if as_json else "\n".join(lines)) + "\n"
 
 
+def _head(command: str, code, k: int) -> dict:
+    """The fields every JSON report starts with."""
+    return {
+        "schema_version": 1,
+        "command": command,
+        "code": {"n": code.n, "k": k, "checks": len(code.checks)},
+    }
+
+
+def _action_entry(report) -> dict:
+    return {
+        "correction": report.pauli_correction.to_string(),
+        "action": _action_rows(report.u_act),
+        "action_name": report.action_word,
+    }
+
+
 def cmd_analyze(args) -> tuple[int, str]:
     code = _load_code(args.code)
     sf = standard_form(code)
@@ -127,9 +141,7 @@ def cmd_analyze(args) -> tuple[int, str]:
     lz_str = [PhasedPauli.from_vector(r).to_string() for r in lz]
     dst_str = [PhasedPauli.from_vector(r).to_string() for r in dst]
     doc = {
-        "schema_version": 1,
-        "command": "analyze",
-        "code": {"n": code.n, "k": t.k, "checks": len(code.checks)},
+        **_head("analyze", code, t.k),
         "standard_form": {
             "r": sf.r,
             "s": sf.s,
@@ -161,10 +173,16 @@ def _gate_entry(images, circ: CliffordCircuit, report) -> dict:
     return {
         "permutation": cycle_string(images),
         "circuit": [str(g) for g in circ.gates],
-        "correction": report.pauli_correction.to_string(),
-        "action": _action_rows(report.u_act),
-        "action_name": report.action_word,
+        **_action_entry(report),
     }
+
+
+def _action_lines(entry: dict) -> list[str]:
+    return [
+        "correction: %s" % entry["correction"],
+        "action: %s" % ";".join(entry["action"]),
+        "action name: %s" % (entry["action_name"] or "-"),
+    ]
 
 
 def _gate_lines(idx: int, entry: dict) -> list[str]:
@@ -172,17 +190,13 @@ def _gate_lines(idx: int, entry: dict) -> list[str]:
         "generator %d:" % idx,
         "  permutation: %s" % entry["permutation"],
         "  circuit: %s" % ("; ".join(entry["circuit"]) or "I"),
-        "  correction: %s" % entry["correction"],
-        "  action: %s" % ";".join(entry["action"]),
-        "  action name: %s" % (entry["action_name"] or "-"),
-    ]
+    ] + ["  " + line for line in _action_lines(entry)]
 
 
 def cmd_gates(args) -> tuple[int, str]:
     code = _load_code(args.code)
-    deadline = time.monotonic() + _budget_ms(args) / 1000.0
     disc = discover_gates(
-        code, kind=_REPS[args.rep], rows=_ROWS[args.rows], deadline=deadline
+        code, kind=RepKind(args.rep), rows=RowSource(args.rows), deadline=_deadline(args)
     )
     t = disc.tableau
     entries = []
@@ -193,9 +207,7 @@ def cmd_gates(args) -> tuple[int, str]:
             raise AutgatesError("discovered gate failed re-verification")
         entries.append(_gate_entry(gate.images, gate.circuit, gate.report))
     doc = {
-        "schema_version": 1,
-        "command": "gates",
-        "code": {"n": code.n, "k": t.k, "checks": len(code.checks)},
+        **_head("gates", code, t.k),
         "representation": args.rep,
         "rows": args.rows,
         "search": {
@@ -233,7 +245,7 @@ def _parse_target_arg(arg: str, k: int):
 
 def cmd_find_gate(args) -> tuple[int, str]:
     code = _load_code(args.code)
-    deadline = time.monotonic() + _budget_ms(args) / 1000.0
+    deadline = _deadline(args)
     if args.max_2q is not None and args.max_2q < 0:
         raise ParseError("--max-2q must be >= 0, got %d" % args.max_2q)
     # every input is checked before the search; k needs no tableau
@@ -245,7 +257,7 @@ def cmd_find_gate(args) -> tuple[int, str]:
             else parse_pairs_file(_read_text(args.embed), code.n)
         )
     disc = discover_gates(
-        code, kind=_REPS[args.rep], rows=_ROWS[args.rows], deadline=deadline
+        code, kind=RepKind(args.rep), rows=RowSource(args.rows), deadline=deadline
     )
     t = disc.tableau
     group = disc.group
@@ -255,7 +267,7 @@ def cmd_find_gate(args) -> tuple[int, str]:
             emb_disc = discover_embedded_gates(code, spec, kind=kind, deadline=deadline)
             complete = complete and emb_disc.search.complete
             for gate in emb_disc.gates:
-                if args.max_2q is not None and gate.two_qubit_count > args.max_2q:
+                if args.max_2q is not None and gate.circuit.two_qubit_count() > args.max_2q:
                     continue
                 group.add(gate.report.u_act, gate.circuit)
     try:
@@ -270,16 +282,13 @@ def cmd_find_gate(args) -> tuple[int, str]:
     ):  # pragma: no cover - certification already checked this
         raise AutgatesError("synthesized gate failed re-verification")
     entry = {
-        "action": _action_rows(result.report.u_act),
-        "action_name": result.report.action_word,
-        "correction": result.report.pauli_correction.to_string(),
+        # find-gate lists these three in key order: action, action_name, correction
+        **dict(sorted(_action_entry(result.report).items())),
         "circuit": [str(g) for g in result.corrected.gates],
         "word_length": len(result.word),
     }
     doc = {
-        "schema_version": 1,
-        "command": "find-gate",
-        "code": {"n": code.n, "k": t.k, "checks": len(code.checks)},
+        **_head("find-gate", code, t.k),
         "target": args.target,
         "realized": True,
         "search_complete": complete,
@@ -309,9 +318,7 @@ def cmd_verify(args) -> tuple[int, str]:
     if report.valid and not valid:
         reason = "circuit moves the code space (stabilizer signs flip)"
     doc = {
-        "schema_version": 1,
-        "command": "verify",
-        "code": {"n": code.n, "k": t.k, "checks": len(code.checks)},
+        **_head("verify", code, t.k),
         "circuit": [str(g) for g in circ.gates],
         "valid": valid,
     }
@@ -321,18 +328,8 @@ def cmd_verify(args) -> tuple[int, str]:
         "verdict: %s" % ("valid" if valid else "invalid"),
     ]
     if valid:
-        doc.update(
-            {
-                "correction": report.pauli_correction.to_string(),
-                "action": _action_rows(report.u_act),
-                "action_name": report.action_word,
-            }
-        )
-        lines += [
-            "correction: %s" % report.pauli_correction.to_string(),
-            "action: %s" % ";".join(_action_rows(report.u_act)),
-            "action name: %s" % (report.action_word or "-"),
-        ]
+        doc.update(_action_entry(report))
+        lines += _action_lines(doc)
     else:
         doc["reason"] = reason
         lines.append("reason: %s" % reason)
@@ -364,16 +361,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gates", help="discover and certify automorphism gates")
     add_common(p)
-    p.add_argument("--rep", choices=sorted(_REPS), default="threeblock")
-    p.add_argument("--rows", choices=sorted(_ROWS), default="given")
+    p.add_argument("--rep", choices=_REP_CHOICES, default="threeblock")
+    p.add_argument("--rows", choices=_ROW_CHOICES, default="given")
     p.add_argument("--budget", type=float, default=None, help="search budget in ms")
     p.set_defaults(func=cmd_gates)
 
     p = sub.add_parser("find-gate", help="synthesize a target logical action")
     add_common(p)
     p.add_argument("--target", required=True, help="gate expression or action matrix file")
-    p.add_argument("--rep", choices=sorted(_REPS), default="threeblock")
-    p.add_argument("--rows", choices=sorted(_ROWS), default="codewords")
+    p.add_argument("--rep", choices=_REP_CHOICES, default="threeblock")
+    p.add_argument("--rows", choices=_ROW_CHOICES, default="codewords")
     p.add_argument("--embed", default=None, metavar="PAIRS", help="'all' or a pairs file")
     p.add_argument("--max-2q", type=int, default=None, dest="max_2q",
                    help="drop embedded gates with more two-qubit gates")

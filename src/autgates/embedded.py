@@ -39,13 +39,14 @@ import numpy as np
 from .autsearch import AutSearchResult, matrix_automorphisms
 from .binrep import RepKind, build, row_augmented_matrix
 from .circuits import GATES, CliffordCircuit, Gate
-from .cliffordmap import LogicalReport, block_gates, pauli_correct_and_action, perm_to_circuit
+from .cliffordmap import block_gates, pauli_correct_and_action, perm_to_circuit
 from .errors import (
     DimensionError,
     EmbeddedInterpretationError,
     ParseError,
 )
 from .gf2 import mat2
+from .logsearch import DiscoveredGate
 from .pauli import PhasedPauli, row_products
 from .stabilizer import StabilizerCode, Tableau, tableau
 
@@ -181,8 +182,8 @@ def interpret(emb: EmbeddedCode, circ: CliffordCircuit) -> CliffordCircuit:
     G_a G_b CXX_ab (X-type): S gives S_a S_b CZ_ab, SQRTX gives
     SQRTX_a SQRTX_b CXX_ab.  A SWAP of a Z-type auxiliary with member b
     becomes CNOT a->b, of an X-type one CNOT b->a.  Each auxiliary's pair
-    is tracked through the circuit: a SWAP of two original qubits
-    relabels the pair members, and a SWAP of two auxiliaries exchanges
+    is tracked through the circuit: a SWAP of two original qubits moves
+    the members' labels, in O(1), and a SWAP of two auxiliaries exchanges
     their pairs and drops out.  A SWAP of an auxiliary with a non-member
     drops out here and is vetted by interpretation_sound.  Anything else
     touching an auxiliary (H in particular) has no counterpart and raises.
@@ -193,17 +194,20 @@ def interpret(emb: EmbeddedCode, circ: CliffordCircuit) -> CliffordCircuit:
         )
     n = emb.n
     parity, dual, pair_gate = ("Z", "X", "CZ") if emb.basis == "z" else ("X", "Z", "CXX")
-    pairs = list(emb.spec.pairs)  # current pair of each auxiliary
+    pairs = list(emb.spec.pairs)  # each auxiliary's pair, by the members' first labels
+    where = list(range(n))  # label -> the qubit holding it now
+    label = list(range(n))  # qubit -> the label it holds now
     out = []
     for gate in circ.gates:
         if all(q < n for q in gate.qubits):
             out.append(gate)
             if gate.name == "SWAP":
-                relabel = dict(zip(gate.qubits, reversed(gate.qubits)))
-                pairs = [tuple(relabel.get(q, q) for q in pair) for pair in pairs]
+                q0, q1 = gate.qubits
+                label[q0], label[q1] = label[q1], label[q0]
+                where[label[q0]], where[label[q1]] = q0, q1
             continue
         if len(gate.qubits) == 1:
-            a, b = pairs[gate.qubits[0] - n]
+            a, b = (where[q] for q in pairs[gate.qubits[0] - n])
             if not _fixes(gate.name, parity):
                 raise EmbeddedInterpretationError(
                     "%s on auxiliary qubit %d has no action on the original code"
@@ -227,7 +231,7 @@ def interpret(emb: EmbeddedCode, circ: CliffordCircuit) -> CliffordCircuit:
             pairs[q0 - n], pairs[q1 - n] = pairs[q1 - n], pairs[q0 - n]
             continue
         aux, orig = (q0, q1) if q0 >= n else (q1, q0)
-        a, b = pairs[aux - n]
+        a, b = (where[q] for q in pairs[aux - n])
         if orig not in (a, b):
             continue
         other = a if orig == b else b
@@ -282,23 +286,12 @@ def interpretation_sound(
 
 
 @dataclass
-class EmbeddedGate:
-    """One embedded automorphism mapped back to the original qubits."""
-
-    images: tuple
-    circuit: CliffordCircuit
-    report: LogicalReport
-    two_qubit_count: int
-
-
-@dataclass
 class EmbeddedDiscovery:
     """Discovery output on an embedded code."""
 
     embedded: EmbeddedCode
     search: AutSearchResult
-    tableau: Tableau
-    gates: list[EmbeddedGate]
+    gates: list[DiscoveredGate]  # circuits on the original qubits
     rejected: list[tuple[tuple, str]]
 
 
@@ -368,14 +361,5 @@ def discover_embedded_gates(
         if not report.valid:  # pragma: no cover
             rejected.append((images, "interpreted circuit breaks the code"))
             continue
-        gates.append(
-            EmbeddedGate(
-                images=images,
-                circuit=interp,
-                report=report,
-                two_qubit_count=interp.two_qubit_count(),
-            )
-        )
-    return EmbeddedDiscovery(
-        embedded=emb, search=search, tableau=t, gates=gates, rejected=rejected
-    )
+        gates.append(DiscoveredGate(images=images, circuit=interp, report=report))
+    return EmbeddedDiscovery(embedded=emb, search=search, gates=gates, rejected=rejected)

@@ -38,7 +38,7 @@ from .errors import (
     NotSymplecticError,
     ParseError,
 )
-from .gf2 import asbits, invert, is_symplectic, mat2
+from .gf2 import asbits, is_symplectic
 from .permgroup import MatrixElement, StabilizerChain
 from .stabilizer import StabilizerCode, Tableau, tableau
 
@@ -89,10 +89,6 @@ class LogicalActionGroup:
     def order(self) -> int:
         return self._chain.order()
 
-    def contains(self, u_act) -> bool:
-        u = check_action_matrix(u_act, self.k)
-        return self._chain.contains(MatrixElement.from_matrix(u))
-
     def express(self, u_act):
         """Word of (generator_index, exponent) pairs recomposing to u_act.
 
@@ -102,14 +98,6 @@ class LogicalActionGroup:
         u = check_action_matrix(u_act, self.k)
         elt = self._chain.express(MatrixElement.from_matrix(u))
         return None if elt is None else elt.word
-
-    def word_matrix(self, word) -> np.ndarray:
-        """Recompose a word into its action matrix."""
-        out = np.eye(2 * self.k, dtype=np.uint8)
-        for idx, exp in word:
-            g = self.generators[idx][0]
-            out = mat2(out, g if exp > 0 else invert(g))
-        return out
 
     def word_circuit(self, word, n: int) -> CliffordCircuit:
         """Concatenate generator circuits along a word, inverses included."""
@@ -167,7 +155,8 @@ def synthesize(
 
 @dataclass
 class DiscoveredGate:
-    """One automorphism generator lifted to a verified circuit."""
+    """One automorphism, as images of the searched columns, lifted to a
+    verified circuit on the code's own qubits."""
 
     images: tuple
     circuit: CliffordCircuit

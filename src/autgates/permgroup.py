@@ -1,18 +1,24 @@
-"""Stabilizer chains, by deterministic Schreier-Sims or from a strong generating set.
+"""Stabilizer chains on a complete base, by Schreier-Sims or from a strong generating set.
 
 The chain code is generic over the element type: anything that supports
-``act``, ``compose``, ``inverse``, ``is_identity`` and ``moved_point``
-can be used.  Both element types provided here hold an element as the
-tuple of the images of its basis points, so ``is_identity`` and
-``moved_point`` are written once for both; a type supplies its basis
-points, ``act``, ``compose`` and ``inverse``.  ``PermElement`` permutes
-``range(degree)`` and its basis points are ``0..d-1``.
+``act``, ``compose``, ``inverse`` and ``is_identity`` can be used.  Both
+element types provided here hold an element as the tuple of the images
+of its basis points, so ``is_identity`` is one tuple comparison, written
+once for both; a type supplies its basis points, ``act``, ``compose``
+and ``inverse``.  ``PermElement`` permutes ``range(degree)`` and its
+basis points are ``0..d-1``.
 ``MatrixElement`` is an invertible binary matrix acting on
 row vectors encoded as integers; its basis points are the unit vectors
 ``1 << i``, so its images are the matrix rows packed into Python ints
 of any width.  An element computes its inverse at most once and keeps
 it, since sifting divides by the same transversal elements over and
 over; a matrix is inverted by Gauss-Jordan elimination on those ints.
+
+A chain's base is given up front and must be complete: only the
+identity fixes every base point.  It is never extended; an element that
+fixes it all and is not the identity raises ``ValueError``, and the last
+level sifts no Schreier generators, as each fixes the whole base.  The
+action chain's base is all 2k unit vectors, ``PermGroup``'s the search's.
 
 Each chain level remembers the Schreier generators u*s*v^-1 it has
 already passed to the level below, keyed by the images of u, s and v,
@@ -58,6 +64,7 @@ g_j; so Stab_{H_j}(b_i) = G^(i+1), and |H_j| is the orbit length of b_i
 under g_1..g_j times the deeper tree lengths.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -114,15 +121,8 @@ class _Element:
     def identity(cls, dim):
         return cls(cls.basis(dim))
 
-    def moved_point(self):
-        """Smallest basis point not fixed, or None for the identity."""
-        for point, image in zip(self.basis(len(self.images)), self.images):
-            if image != point:
-                return point
-        return None
-
     def is_identity(self):
-        return self.moved_point() is None
+        return self.images == self.basis(len(self.images))
 
 
 class PermElement(_Element):
@@ -131,8 +131,9 @@ class PermElement(_Element):
     __slots__ = ()
 
     @staticmethod
+    @functools.cache
     def basis(dim):
-        return range(dim)
+        return tuple(range(dim))
 
     def act(self, point):
         return self.images[point]
@@ -166,8 +167,9 @@ class MatrixElement(_Element):
         self.word = tuple(word)
 
     @staticmethod
+    @functools.cache
     def basis(dim):
-        return [1 << i for i in range(dim)]
+        return tuple(1 << i for i in range(dim))
 
     @classmethod
     def from_matrix(cls, mat, word=()):
@@ -220,7 +222,7 @@ class StabilizerChain:
     Generators stored at a level fix the base points of all earlier
     levels.  The orbit of the level's base point is kept as a transversal
     dict mapping each orbit point to an element sending the base point to
-    it.  A prescribed base is used as a prefix and extended on demand.
+    it.  The prescribed base must be complete; it is never extended.
     """
 
     __slots__ = ("identity", "basepoint", "gens", "tree", "stab", "sifted")
@@ -302,15 +304,12 @@ class StabilizerChain:
 
     def _insert(self, gen, stop):
         # gen fixes the base points of every level above this one
-        if self.basepoint is None:
-            self.basepoint = gen.moved_point()
-            self.tree = {self.basepoint: self.identity}
-        if gen.act(self.basepoint) == self.basepoint:
-            if self.stab is None:
-                self.stab = StabilizerChain(self.identity)
+        if self.basepoint is not None and gen.act(self.basepoint) != self.basepoint:
+            self.gens.append(gen)
+        elif self.stab is not None:
             self.stab._insert(gen, stop)
         else:
-            self.gens.append(gen)
+            raise ValueError("incomplete base: %r fixes every base point" % (gen,))
         # the tree is rebuilt even once the bound is reached: the levels
         # below may have new generators, which change its transversal
         self._rebuild_tree()
@@ -339,8 +338,8 @@ class StabilizerChain:
 
     def _close(self, stop):
         """Sift every Schreier generator not yet sifted into the stabilizer."""
-        if self.stab is None:
-            self.stab = StabilizerChain(self.identity)
+        if self.stab is None:  # each one fixes the whole base: the identity
+            return
         gens = self.strong_generators()
         for point, u in self.tree.items():
             for s in gens:
@@ -351,19 +350,6 @@ class StabilizerChain:
                 if key not in self.sifted:
                     self.sifted.add(key)
                     self.stab._add(u.compose(s).compose(v.inverse()), stop)
-
-    def iter_elements(self):
-        """Yield every group element once, as transversal products."""
-        if self.basepoint is None:
-            yield self.identity
-            return
-        if self.stab is None:
-            deeper = [self.identity]
-        else:
-            deeper = self.stab.iter_elements()
-        for rest in deeper:
-            for u in self.tree.values():
-                yield rest.compose(u)
 
 
 class _OrderStop:
@@ -433,8 +419,3 @@ class PermGroup:
 
     def contains(self, images):
         return self.chain.contains(PermElement(images))
-
-    def iter_elements(self):
-        """Yield the images tuple of every element once."""
-        for elt in self.chain.iter_elements():
-            yield elt.images

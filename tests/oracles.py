@@ -4,16 +4,17 @@ Dense complex-matrix oracles pin down sign conventions; a dense conjugated
 permutation matrix pins the symplectic of a structured permutation; a
 block-structured brute force checks automorphism groups without the
 refinement search; a breadth-first closure of binary matrices checks
-matrix groups without the stabilizer chain; a Schreier-Sims chain checks
-a permutation group built from a given strong generating set; a chain's
-levels, words included, compare two chains built differently; and a
-refinement on dense incidence counts checks the search's refinement on
-adjacency lists.
+matrix groups without the stabilizer chain; a plain Schreier-Sims on
+image tuples, sharing no code with autgates.permgroup, checks the
+permutation chains; a chain's levels, words included, compare two chains
+built differently; and a refinement on dense incidence counts checks the
+search's refinement on adjacency lists.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -21,7 +22,6 @@ from autgates.binrep import block_mixer
 from autgates.circuits import CliffordCircuit
 from autgates.gf2 import invert, mat2
 from autgates.pauli import PhasedPauli
-from autgates.permgroup import PermElement, StabilizerChain
 
 _I2 = np.eye(2, dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -265,12 +265,91 @@ def dense_refine(rows, colors, mult, cell_id):
     return cell_id, num_cells, tuple(trace)
 
 
-def schreier_sims(degree, gens, base=()):
-    """Stabilizer chain of the permutations gens, built by Schreier-Sims."""
-    chain = StabilizerChain(PermElement.identity(degree), base)
-    for images in gens:
-        chain.add(PermElement(images))
-    return chain
+class SchreierSims:
+    """Base and strong generating set of the permutations gens, by plain Schreier-Sims.
+
+    Written apart from autgates.permgroup, on image tuples: the base
+    starts with ``base`` and is extended by the first point a residue
+    moves, and every Schreier generator of every level is sifted, with no
+    memo and no order stop.  ``base`` is the final base, ``order()`` the
+    group order and ``contains(images)`` membership.
+    """
+
+    def __init__(self, degree, gens, base=()):
+        self.identity = tuple(range(degree))
+        self.base = list(base)
+        self.strong, self.gens, self.trees = [], [], []
+        for g in map(tuple, gens):
+            if g != self.identity:
+                self._append(g)
+        self._levels(0)
+        i = len(self.base) - 1
+        while i >= 0:
+            residue = self._schreier_residue(i)
+            if residue is None:
+                i -= 1
+                continue
+            self._append(residue)
+            self._levels(i + 1)
+            # the deepest level that gained a generator is checked first
+            i = next(j for j, b in enumerate(self.base) if residue[b] != b)
+
+    def _append(self, g):
+        if all(g[b] == b for b in self.base):
+            self.base.append(next(p for p, q in enumerate(g) if p != q))
+        self.strong.append(g)
+
+    def _levels(self, start):
+        # level i: the strong generators fixing base[:i], and the orbit of
+        # base[i] under them, each point with an element mapping base[i] there
+        del self.gens[start:], self.trees[start:]
+        for i in range(start, len(self.base)):
+            gens = [g for g in self.strong if all(g[b] == b for b in self.base[:i])]
+            tree = {self.base[i]: self.identity}
+            queue = [self.base[i]]
+            for a in queue:
+                for g in gens:
+                    if g[a] not in tree:
+                        tree[g[a]] = _compose(tree[a], g)
+                        queue.append(g[a])
+            self.gens.append(gens)
+            self.trees.append(tree)
+
+    def _schreier_residue(self, i):
+        """A Schreier generator of level i that does not sift, or None."""
+        for point, u in self.trees[i].items():
+            for g in self.gens[i]:
+                v = self.trees[i][g[point]]
+                residue = self.sift(_compose(_compose(u, g), _inverse(v)))
+                if residue != self.identity:
+                    return residue
+        return None
+
+    def sift(self, g):
+        for b, tree in zip(self.base, self.trees):
+            u = tree.get(g[b])
+            if u is None:
+                return g
+            g = _compose(g, _inverse(u))
+        return g
+
+    def contains(self, images):
+        return self.sift(tuple(images)) == self.identity
+
+    def order(self):
+        return math.prod(len(tree) for tree in self.trees)
+
+
+def _compose(p, q):
+    """Apply p, then q."""
+    return tuple(q[i] for i in p)
+
+
+def _inverse(p):
+    inv = [0] * len(p)
+    for i, j in enumerate(p):
+        inv[j] = i
+    return tuple(inv)
 
 
 def base_points(chain):

@@ -13,7 +13,7 @@ from autgates.codes import bivariate_bicycle, load
 from autgates.permgroup import PermElement
 from autgates.stabilizer import StabilizerCode
 
-from oracles import base_points, dense_refine, schreier_sims
+from oracles import SchreierSims, base_points, dense_refine
 
 FIVE_QUBIT = StabilizerCode.from_strings(["XZZXI", "IXZZX", "XIXZZ", "ZXIXZ"])
 FIVE_QUBIT_CYCLIC = StabilizerCode.from_strings(
@@ -244,13 +244,14 @@ def test_cycle_incidence_search_stays_small():
 
 
 def assert_group_is_bsgs(res, rng, samples=20):
-    """res.group against a Schreier-Sims chain of res.generators on its base.
+    """res.group against a plain Schreier-Sims of res.generators on its base.
 
     The search's group is built from its generators as a base and strong
-    generating set, with no closure; Schreier-Sims on the same base gives
-    the group they generate.  Orders and membership must agree, and each
-    level's strong generators must fix the base points above it.  So must
-    the order of the group each prefix of the generators generates.
+    generating set, with no closure; the oracle's Schreier-Sims, sharing
+    no code with the chain, gives the group they generate.  Orders and
+    membership must agree, and each level's strong generators must fix
+    the base points above it.  So must the order of the group each prefix
+    of the generators generates.
     """
     degree = len(res.group.chain.identity.images)
     base = base_points(res.group.chain)
@@ -259,10 +260,11 @@ def assert_group_is_bsgs(res, rng, samples=20):
         for g in node.strong_generators():
             assert all(g.act(b) == b for b in base[:depth])
         node = node.stab
-    ref = schreier_sims(degree, res.generators, base)
+    ref = SchreierSims(degree, res.generators, base)
+    assert tuple(ref.base) == base  # the search's base is complete
     assert res.group.order() == ref.order()
     assert res.group.prefix_orders() == [
-        schreier_sims(degree, res.generators[:j], base).order()
+        SchreierSims(degree, res.generators[:j], base).order()
         for j in range(1, len(res.generators) + 1)
     ]
     gens = [PermElement(images) for images in res.generators]
@@ -275,7 +277,7 @@ def assert_group_is_bsgs(res, rng, samples=20):
         swap[a], swap[b] = b, a
         for images in (elt.images, elt.compose(PermElement(swap)).images,
                        tuple(int(i) for i in rng.permutation(degree))):
-            assert res.group.contains(images) == ref.contains(PermElement(images))
+            assert res.group.contains(images) == ref.contains(images)
 
 
 @pytest.mark.parametrize("code", ["n4k2d2", "n5k1d3", "steane"])

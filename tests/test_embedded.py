@@ -260,6 +260,81 @@ def test_interpret_tracks_pair_members_through_swaps():
     assert interpretation_sound(emb, tableau(code), circ, interp)
 
 
+# what interpret makes of each gate on an auxiliary of pair (a, b)
+AUXILIARY_GATES = {
+    "z": {
+        "I": lambda a, b: [],
+        "Z": lambda a, b: [Gate("Z", (a,)), Gate("Z", (b,))],
+        "S": lambda a, b: [Gate("S", (a,)), Gate("S", (b,)), Gate("CZ", (a, b))],
+        "SDG": lambda a, b: [Gate("SDG", (a,)), Gate("SDG", (b,)), Gate("CZ", (a, b))],
+    },
+    "x": {
+        "I": lambda a, b: [],
+        "X": lambda a, b: [Gate("X", (a,)), Gate("X", (b,))],
+        "SQRTX": lambda a, b: [Gate("SQRTX", (a,)), Gate("SQRTX", (b,)), Gate("CXX", (a, b))],
+    },
+}
+
+
+def interpret_by_rebuild(emb, circ):
+    """interpret as first written: every SWAP of two original qubits
+    rebuilds the current pair of every auxiliary."""
+    n = emb.n
+    pairs = list(emb.spec.pairs)
+    out = []
+    for gate in circ.gates:
+        q = gate.qubits
+        if all(x < n for x in q):
+            out.append(gate)
+            if gate.name == "SWAP":
+                swap = {q[0]: q[1], q[1]: q[0]}
+                pairs = [tuple(swap.get(x, x) for x in pair) for pair in pairs]
+        elif len(q) == 1:
+            out += AUXILIARY_GATES[emb.basis][gate.name](*pairs[q[0] - n])
+        elif min(q) >= n:
+            pairs[q[0] - n], pairs[q[1] - n] = pairs[q[1] - n], pairs[q[0] - n]
+        else:
+            aux, orig = (q[0], q[1]) if q[0] >= n else (q[1], q[0])
+            a, b = pairs[aux - n]
+            if orig in (a, b):
+                other = a if orig == b else b
+                out.append(Gate("CNOT", (other, orig) if emb.basis == "z" else (orig, other)))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("basis", ["z", "x"])
+def test_interpret_matches_pair_rebuild(basis):
+    # seeded random circuits that interleave SWAPs of original qubits,
+    # SWAPs of two auxiliaries, auxiliary-original SWAPs, auxiliary gates
+    # and gates on original qubits
+    rng = np.random.default_rng(17)
+    n = 5
+    code = StabilizerCode.from_strings(["ZZZZZ"])
+    for trial in range(40):
+        pairs = all_pairs(n).pairs
+        keep = rng.permutation(len(pairs))[: int(rng.integers(1, len(pairs) + 1))]
+        emb = embed(code, EmbeddingSpec(n, tuple(pairs[i] for i in keep)), basis)
+        total = n + emb.m
+        gates = []
+        for _ in range(40):
+            kind = int(rng.integers(5))
+            if kind == 0:
+                gates.append(Gate("SWAP", tuple(int(q) for q in rng.choice(n, 2, replace=False))))
+            elif kind == 1 and emb.m > 1:
+                aux = rng.choice(emb.m, 2, replace=False) + n
+                gates.append(Gate("SWAP", tuple(int(q) for q in aux)))
+            elif kind == 2:
+                pair = [int(rng.integers(n)), n + int(rng.integers(emb.m))]
+                gates.append(Gate("SWAP", tuple(pair[:: int(rng.choice([1, -1]))])))
+            elif kind == 3:
+                name = str(rng.choice(sorted(AUXILIARY_GATES[basis])))
+                gates.append(Gate(name, (n + int(rng.integers(emb.m)),)))
+            else:
+                gates.append(Gate(str(rng.choice(["H", "S", "SQRTX"])), (int(rng.integers(n)),)))
+        circ = CliffordCircuit(total, tuple(gates))
+        assert interpret(emb, circ).gates == interpret_by_rebuild(emb, circ)
+
+
 def test_unsound_swap_with_free_qubit(four_qubit):
     # here x2 is not the (0, 1) parity on the codespace, so the dropped
     # SWAP is not a logical identity and must be flagged
@@ -307,7 +382,7 @@ def test_all_pairs_discovery_is_clean(which, z_discovery, x_discovery, four_qubi
     t = tableau(four_qubit)
     for g in d.gates:
         assert g.report.valid
-        assert g.two_qubit_count <= 1
+        assert g.circuit.two_qubit_count() <= 1
         assert verify_preserves_stabilizers(t, corrected_circuit(g.report, g.circuit))
 
 

@@ -1,8 +1,9 @@
-"""Stabilizer chain tests against brute-force group closures."""
+"""Stabilizer chain tests against brute-force group closures and a plain Schreier-Sims."""
 
 import numpy as np
 import pytest
 
+from autgates import permgroup
 from autgates.circuits import CliffordCircuit, Gate
 from autgates.errors import SingularMatrixError
 from autgates.gf2 import rank
@@ -16,7 +17,7 @@ from autgates.permgroup import (
     invert_images,
 )
 
-from oracles import base_points, chain_levels, matrix_closure, schreier_sims
+from oracles import SchreierSims, base_points, chain_levels, matrix_closure
 
 
 def closure(gens):
@@ -51,6 +52,18 @@ def random_perm(rng, degree):
     return tuple(images)
 
 
+def perm_chain(degree, gens, base=None):
+    """The chain Schreier-Sims builds from gens, on the complete base 0..degree-1."""
+    chain = StabilizerChain(PermElement.identity(degree), range(degree) if base is None else base)
+    for images in gens:
+        chain.add(PermElement(images))
+    return chain
+
+
+def unit_vectors(d):
+    return tuple(1 << i for i in range(d))
+
+
 def bsgs_group(degree, chain):
     """PermGroup built from the chain's base and strong generators."""
     gens = [g.images for g in chain.strong_generators()]
@@ -59,15 +72,17 @@ def bsgs_group(degree, chain):
 
 def test_known_group_orders():
     # symmetric group S_6 from a transposition and a 6-cycle
-    s6 = schreier_sims(6, [(1, 0, 2, 3, 4, 5), (1, 2, 3, 4, 5, 0)])
-    assert s6.order() == 720
+    s6_gens = [(1, 0, 2, 3, 4, 5), (1, 2, 3, 4, 5, 0)]
+    s6 = perm_chain(6, s6_gens)
+    assert s6.order() == SchreierSims(6, s6_gens).order() == 720
     assert bsgs_group(6, s6).order() == 720
     # cyclic group C_13
-    c13 = schreier_sims(13, [tuple((i + 1) % 13 for i in range(13))])
+    c13 = perm_chain(13, [tuple((i + 1) % 13 for i in range(13))])
     assert c13.order() == 13
     # alternating group A_4 from two 3-cycles
-    a4 = schreier_sims(4, [(1, 2, 0, 3), (0, 2, 3, 1)])
-    assert a4.order() == 12
+    a4_gens = [(1, 2, 0, 3), (0, 2, 3, 1)]
+    a4 = perm_chain(4, a4_gens)
+    assert a4.order() == SchreierSims(4, a4_gens).order() == 12
     # a generator already in the group does not grow it
     assert not a4.add(PermElement((1, 2, 0, 3)))
     assert a4.order() == 12
@@ -75,8 +90,8 @@ def test_known_group_orders():
     # dihedral group of the 12-gon: rotation and reflection
     rot = tuple((i + 1) % 12 for i in range(12))
     ref = tuple((-i) % 12 for i in range(12))
-    d12 = schreier_sims(12, [rot, ref])
-    assert d12.order() == 24
+    d12 = perm_chain(12, [rot, ref])
+    assert d12.order() == SchreierSims(12, [rot, ref]).order() == 24
     assert bsgs_group(12, d12).order() == 24
 
 
@@ -85,15 +100,15 @@ def test_trivial_group():
     assert g.order() == 1
     assert g.contains(tuple(range(5)))
     assert not g.contains((1, 0, 2, 3, 4))
-    assert list(g.iter_elements()) == [tuple(range(5))]
     # a base with no generators is trivial too
     g = PermGroup(5, (2, 0))
     assert g.order() == 1
     assert not g.contains((1, 0, 2, 3, 4))
-    # adding the identity does not grow a chain
-    chain = schreier_sims(5, [])
-    assert not chain.add(PermElement.identity(5))
-    assert chain.order() == 1
+    # adding the identity does not grow a chain, even one with no base
+    for chain in (perm_chain(5, []), StabilizerChain(PermElement.identity(5))):
+        assert not chain.add(PermElement.identity(5))
+        assert chain.order() == 1
+    assert SchreierSims(5, [tuple(range(5))]).order() == 1
 
 
 def test_order_and_membership_match_closure():
@@ -102,15 +117,18 @@ def test_order_and_membership_match_closure():
         degree = int(rng.integers(3, 8))
         gens = [random_perm(rng, degree) for _ in range(int(rng.integers(1, 4)))]
         ref = closure(gens)
-        chain = schreier_sims(degree, gens)
+        oracle = SchreierSims(degree, gens)
+        chain = perm_chain(degree, gens)
         group = bsgs_group(degree, chain)
-        assert chain.order() == group.order() == len(ref)
+        assert chain.order() == group.order() == oracle.order() == len(ref)
         for p in list(ref)[:50]:
             assert chain.contains(PermElement(p))
             assert group.contains(p)
+            assert oracle.contains(p)
         for _ in range(10):
             p = random_perm(rng, degree)
             assert chain.contains(PermElement(p)) == group.contains(p) == (p in ref)
+            assert oracle.contains(p) == (p in ref)
     for trial in range(20):
         # GL(5, 2) has about 10^7 elements, beyond a test's closure, so
         # several generators are drawn only up to d = 4
@@ -118,7 +136,7 @@ def test_order_and_membership_match_closure():
         count = 1 if d == 5 else int(rng.integers(1, 4))
         mats, elts = zip(*(random_invertible(rng, d) for _ in range(count)))
         ref = matrix_closure(mats)
-        chain = StabilizerChain(MatrixElement.identity(d))
+        chain = StabilizerChain(MatrixElement.identity(d), unit_vectors(d))
         for elt in elts:
             chain.add(elt)
         assert chain.order() == len(ref)
@@ -130,22 +148,37 @@ def test_order_and_membership_match_closure():
             assert chain.contains(elt) == (m.tobytes() in ref)
 
 
-def test_iter_elements_enumerates_group():
+def test_bsgs_group_holds_the_closure():
     gens = [(1, 2, 0, 3, 4), (0, 1, 2, 4, 3)]
-    group = bsgs_group(5, schreier_sims(5, gens))
+    group = bsgs_group(5, perm_chain(5, gens))
     ref = closure(gens)
-    got = list(group.iter_elements())
-    assert len(got) == group.order() == len(ref)
-    assert set(got) == ref
+    assert group.order() == len(ref) == 6
+    assert all(group.contains(p) for p in ref)
 
 
 def test_prescribed_base_is_respected():
     gens = [(1, 0, 2, 3, 4, 5), (1, 2, 3, 4, 5, 0)]
-    base = (3, 1, 4)
-    chain = schreier_sims(6, gens, base)
+    base = (3, 1, 4, 0, 5)
+    chain = perm_chain(6, gens, base)
     assert chain.order() == 720
-    assert base_points(chain)[:3] == base
-    assert schreier_sims(6, gens).order() == 720
+    assert base_points(chain) == base
+    # the oracle extends a prefix of the base on demand
+    oracle = SchreierSims(6, gens, base[:3])
+    assert oracle.order() == 720
+    assert tuple(oracle.base[:3]) == base[:3]
+
+
+def test_incomplete_base_raises():
+    # S_3 on base (0,): (1 2) fixes the base point and is not the identity
+    chain = perm_chain(3, [(1, 0, 2)], base=(0,))
+    with pytest.raises(ValueError, match="incomplete base"):
+        chain.add(PermElement((1, 2, 0)))
+    with pytest.raises(ValueError, match="incomplete base"):
+        StabilizerChain(PermElement.identity(3)).add(PermElement((1, 0, 2)))
+    # a matrix chain on the unit vector 1 alone
+    chain = StabilizerChain(MatrixElement.identity(2), (1,))
+    with pytest.raises(ValueError, match="incomplete base"):
+        chain.add(MatrixElement.from_matrix([[1, 0], [1, 1]]))
 
 
 def test_level_generators_fix_base_prefix():
@@ -153,7 +186,7 @@ def test_level_generators_fix_base_prefix():
     # stabilizer of 0 in S_6 is S_5, of 0 and 1 is S_4
     gens = [(1, 0, 2, 3, 4, 5), (1, 2, 3, 4, 5, 0)]
     base = tuple(range(6))
-    chain = schreier_sims(6, gens, base)
+    chain = perm_chain(6, gens, base)
     node, depth = chain, 0
     while node is not None:
         for g in node.strong_generators():
@@ -172,7 +205,7 @@ def test_perm_group_from_strong_generators():
     assert group.order() == 24
     assert base_points(group.chain) == base
     assert [g.images for g in group.chain.stab.stab.gens] == [gens[0]]
-    assert set(group.iter_elements()) == closure(gens)
+    assert all(group.contains(p) for p in closure(gens))
     # generators are placed by the first base point they move, in any order
     assert PermGroup(4, base, gens[::-1]).order() == 24
     with pytest.raises(ValueError, match="degree mismatch"):
@@ -252,7 +285,7 @@ def test_matrix_chain_gl3_order():
     # GL(3, 2) has order 168; generate from a transvection and a cycle
     a = MatrixElement.from_matrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]], ((0, 1),))
     b = MatrixElement.from_matrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]], ((1, 1),))
-    chain = StabilizerChain(MatrixElement.identity(3))
+    chain = StabilizerChain(MatrixElement.identity(3), unit_vectors(3))
     chain.add(a)
     chain.add(b)
     assert chain.order() == 168
@@ -276,9 +309,7 @@ def test_matrix_chain_symplectic_groups():
         CliffordCircuit(2, (Gate("S", (1,)),)),
         CliffordCircuit(2, (Gate("CNOT", (0, 1)),)),
     ]
-    chain4 = StabilizerChain(
-        MatrixElement.identity(4), prescribed_base=tuple(1 << i for i in range(4))
-    )
+    chain4 = StabilizerChain(MatrixElement.identity(4), prescribed_base=unit_vectors(4))
     for i, c in enumerate(circs):
         gens.append(MatrixElement.from_matrix(c.symplectic(), ((i, 1),)))
         chain4.add(gens[-1])
@@ -305,9 +336,9 @@ def test_matrix_chain_symplectic_groups():
 
 
 def test_order_bound_skips_only_sifts(monkeypatch):
-    # Sp(4, 2), order 720, from H(0), S(0), CNOT(0,1) and CNOT(1,0).  With
-    # no prescribed base the order is reached inside a deep insertion,
-    # while the levels above still have to rebuild their trees.
+    # Sp(4, 2), order 720, from H(0), S(0), CNOT(0,1) and CNOT(1,0).  On
+    # the unit-vector base the order is reached inside an insertion two
+    # levels deep, while the levels above still have to rebuild their trees.
     gates = [Gate("H", (0,)), Gate("S", (0,)), Gate("CNOT", (0, 1)), Gate("CNOT", (1, 0))]
     gens = [
         MatrixElement.from_matrix(CliffordCircuit(2, (g,)).symplectic(), ((i, 1),))
@@ -322,16 +353,36 @@ def test_order_bound_skips_only_sifts(monkeypatch):
         return plain_sift(chain, g)
 
     monkeypatch.setattr(StabilizerChain, "sift", counting_sift)
+    # the _insert nesting depth at which the bound is first reached
+    depth, reached_at = 0, []
+    plain_insert, plain_refresh = StabilizerChain._insert, permgroup._OrderStop.refresh
+
+    def nested_insert(chain, gen, stop):
+        nonlocal depth
+        depth += 1
+        try:
+            plain_insert(chain, gen, stop)
+        finally:
+            depth -= 1
+
+    def noting_refresh(stop):
+        plain_refresh(stop)
+        if stop.reached and not reached_at:
+            reached_at.append(depth)
+
+    monkeypatch.setattr(StabilizerChain, "_insert", nested_insert)
+    monkeypatch.setattr(permgroup._OrderStop, "refresh", noting_refresh)
 
     def build(bound):
         nonlocal sifts
         sifts = 0
-        chain = StabilizerChain(MatrixElement.identity(4))
+        chain = StabilizerChain(MatrixElement.identity(4), unit_vectors(4))
         grew = [chain.add(g, bound) for g in gens]
         return chain, grew, sifts
 
     plain, grew, plain_sifts = build(None)
     exact, exact_grew, exact_sifts = build(720)
+    assert reached_at == [2]
     loose, loose_grew, loose_sifts = build(1440)
     assert plain.order() == exact.order() == loose.order() == 720
     assert exact_grew == loose_grew == grew
@@ -341,7 +392,7 @@ def test_order_bound_skips_only_sifts(monkeypatch):
     # a chain stopped at the order of <H(0), S(0), CNOT(0,1)>, 48, then
     # grown without a bound, sifts the skipped Schreier generators to the
     # identity and ends as the plain chain
-    grown = StabilizerChain(MatrixElement.identity(4))
+    grown = StabilizerChain(MatrixElement.identity(4), unit_vectors(4))
     for g in gens[:3]:
         grown.add(g, 48)
     assert grown.order() == 48

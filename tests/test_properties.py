@@ -1,0 +1,68 @@
+"""Pipeline properties on seeded random codes, checked by independent oracles.
+
+The codes come from signed Z checks pushed through random Clifford
+circuits (random_signed_code), on at most 5 qubits so that the dense
+oracle stays small.  For every representation:
+
+- each automorphism that the search finds from the given rows is also an
+  automorphism of the full codeword set, Aut(given) <= Aut(codewords);
+- each discovered gate keeps every stabilizer, sign included
+  (verify_preserves_stabilizers), and acts on the code space as its
+  reported logical action says (the dense-unitary oracle).
+"""
+
+import random
+
+import pytest
+
+from autgates.autsearch import matrix_automorphisms
+from autgates.binrep import RepKind, RowSource, build, row_augmented_matrix
+from autgates.cliffordmap import corrected_circuit, verify_preserves_stabilizers
+from autgates.gf2 import rank
+from autgates.logsearch import discover_gates
+from autgates.stabilizer import StabilizerCode, tableau
+
+from oracles import dense_logical_action_holds
+from test_stabilizer import random_signed_code
+
+
+def random_codes(seed, count):
+    """count random codes on 2 to 5 qubits with at least one independent check."""
+    rng = random.Random(seed)
+    codes = []
+    while len(codes) < count:
+        n = rng.randrange(2, 6)
+        code = StabilizerCode(random_signed_code(rng, n), n=n)
+        if rank(code.check_matrix):
+            codes.append(code)
+    return codes
+
+
+CODES = random_codes(606, 10)
+
+
+@pytest.mark.parametrize("kind", list(RepKind), ids=lambda kind: kind.value)
+def test_given_row_automorphisms_keep_every_codeword(kind):
+    for code in CODES:
+        rep = build(code, kind)
+        given = matrix_automorphisms(*row_augmented_matrix(rep, RowSource.AS_GIVEN))
+        codewords = matrix_automorphisms(*row_augmented_matrix(rep, RowSource.ALL_CODEWORDS))
+        assert given.complete and codewords.complete
+        for images in given.generators:
+            assert codewords.group.contains(images)
+        assert codewords.group.order() % given.group.order() == 0
+
+
+@pytest.mark.parametrize("kind", list(RepKind), ids=lambda kind: kind.value)
+def test_discovered_gates_pass_the_dense_oracle(kind):
+    gates = 0
+    for code in CODES:
+        t = tableau(code)
+        logicals = [t.row_pauli(i) for i in [*t.logical_x_rows, *t.logical_z_rows]]
+        for rows in (RowSource.AS_GIVEN, RowSource.ALL_CODEWORDS):
+            for gate in discover_gates(code, kind, rows).gates:
+                circ = corrected_circuit(gate.report, gate.circuit)
+                assert verify_preserves_stabilizers(t, circ)
+                assert dense_logical_action_holds(circ, code.checks, logicals, gate.report.u_act)
+                gates += 1
+    assert gates > 0
