@@ -7,6 +7,11 @@ against a dense unitary conjugation oracle in the test suite.  It also
 yields the decode table that lifts block permutations to gates
 (cliffordmap.block_gates) and, from that, the auxiliary rotations the
 embedded-code search probes (embedded.auxiliary_rotations).
+
+Propagation (Aaronson & Gottesman, Phys. Rev. A 70, 052328, 2004) takes one
+numpy step per layer, not per gate.  A gate whose table images only
+exchange its two qubits (SWAP) relabels the rows and moves no data, and a
+run of one one-qubit gate on distinct qubits is one gather.
 """
 
 from __future__ import annotations
@@ -56,6 +61,8 @@ TWO_QUBIT_ENTANGLERS = tuple(
     for name in TWO_QUBIT_GATES
     if any("I" not in image for image in GATES[name].images)
 )
+# two-qubit gates that only exchange their qubits: propagation relabels rows
+_RELABELS = frozenset(name for name, g in GATES.items() if g.images == ("IX", "XI", "IZ", "ZI"))
 
 
 @cache
@@ -114,20 +121,39 @@ class CliffordCircuit:
         """Push a batch of Paulis i^phase X(x) Z(z), rows (x|z), through the circuit.
 
         Returns new (phases mod 4, rows) holding U p Udag for each input p.
+        The rows are held qubit-major as codes x + 2z and `where` maps each
+        qubit to its row: a SWAP (_RELABELS) swaps two entries of `where`, and
+        a run of one gate on distinct qubits is one gather of their rows.
         """
-        n = self.n
+        n, gates = self.n, self.gates
         rows = np.asarray(rows, dtype=np.uint8)
         phases = np.array(phases, dtype=np.int64)
-        code = (rows[:, :n] + 2 * rows[:, n:]).T.copy()  # qubit-major, so a gate reads rows
-        for g in self.gates:
-            inc, outs = _lookup(g.name)
-            idx = code[g.qubits[0]]
-            if len(g.qubits) == 2:
-                idx = idx + 4 * code[g.qubits[1]]
-            phases += inc[idx]
-            for q, out in zip(g.qubits, outs):
-                code[q] = out[idx]
-        return phases % 4, np.hstack([code.T & 1, code.T >> 1])
+        code = (rows[:, :n] + 2 * rows[:, n:]).T.copy()
+        where = list(range(n))
+        i = 0
+        while i < len(gates):
+            name, qs = gates[i].name, gates[i].qubits
+            i += 1
+            if name in _RELABELS:
+                where[qs[0]], where[qs[1]] = where[qs[1]], where[qs[0]]
+                continue
+            inc, outs = _lookup(name)
+            if len(qs) == 2:
+                rs = [where[qs[0]], where[qs[1]]]
+                idx = code[rs[0]] + 4 * code[rs[1]]
+                phases += inc[idx]
+                code[rs] = outs[:, idx]
+                continue
+            run = {qs[0]: None}  # a run ends at its first repeated qubit
+            while i < len(gates) and gates[i].name == name and gates[i].qubits[0] not in run:
+                run[gates[i].qubits[0]] = None
+                i += 1
+            rs = [where[q] for q in run]
+            idx = code[rs]
+            phases += inc[idx].sum(axis=0)
+            code[rs] = outs[0][idx]
+        code = code[where].T
+        return phases % 4, np.hstack([code & 1, code >> 1])
 
     def conjugate(self, p: PhasedPauli) -> PhasedPauli:
         """Push p through the circuit: U p Udag with U = gates applied in order."""

@@ -30,7 +30,7 @@ from .binrep import BlockRep, RepKind, block_mixer
 from .circuits import ONE_QUBIT_GATES, CliffordCircuit, Gate, pauli_to_gates
 from .errors import DimensionError, LengthMismatchError, NotStructuredError
 from .gf2 import asbits, mat2, solve_in_span
-from .pauli import PhasedPauli, row_products
+from .pauli import PhasedPauli, product_phases, row_products
 from .permgroup import cycles
 from .stabilizer import Tableau
 
@@ -127,7 +127,7 @@ def pauli_correct_and_action(t: Tableau, circ: CliffordCircuit) -> LogicalReport
         else:
             reason = f"stabilizer row {rows[r]} image hits the logicals"
         return LogicalReport(valid=False, reason=reason)
-    prod_phases, _ = row_products(t.phases, t.tau, b)
+    prod_phases = product_phases(t.phases, t.row_order, b)
     v = (prod_phases - (a_x.astype(np.int64) * a_z).sum(axis=1)) % 4
     # relative phase is always a sign; the paired row flips it
     paired = (rows[phases != v] + n) % (2 * n)
@@ -167,13 +167,14 @@ def verify_preserves_stabilizers(t: Tableau, circ: CliffordCircuit) -> bool:
     Solves the batch of images over the stabilizer rows only, sharing no
     decomposition path with pauli_correct_and_action (no tableau inverse,
     no destabilizers), and compares each sign with its solution's product.
+    It reads the tableau's cached reduction and row order of those rows.
     """
-    phases, stab = t.phases[t.stab_rows], t.stabilizers
+    phases, stab, r = t.phases[t.stab_rows], t.stabilizers, t.n - t.k
     mapped_phases, mapped = circ.propagate(phases, stab)
-    coeffs = solve_in_span(stab, mapped)
+    coeffs = solve_in_span(stab, mapped, t.stabilizer_rref)
     if coeffs is None:
         return False
-    prod_phases, _ = row_products(phases, stab, coeffs)
+    prod_phases = product_phases(phases, t.row_order[:r, :r], coeffs)
     return bool(np.array_equal(prod_phases, mapped_phases))
 
 

@@ -22,7 +22,9 @@ from .gf2 import asbits, int_product, mat2
 # the prefix written for each exponent of i; parsing also reads them without "+"
 PREFIXES = ("+", "+i", "-", "-i")
 _PREFIX = {p: e for e, s in enumerate(PREFIXES) for p in (s, s.lstrip("+"))}
-_LETTER = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
+# each letter's byte maps to its code x + 2z; a Y adds one i to the phase
+_LETTER_CODE = np.zeros(256, dtype=np.uint8)
+_LETTER_CODE[np.frombuffer(b"XZY", dtype=np.uint8)] = (1, 2, 3)
 _PAULI_RE = re.compile(r"^([-+]?i?)([IXYZ]+)$")
 
 
@@ -54,14 +56,8 @@ class PhasedPauli:
         if not m:
             raise ParseError(f"bad Pauli string: {s!r}")
         prefix, letters = m.groups()
-        phase = _PREFIX[prefix]
-        x = np.zeros(len(letters), dtype=np.uint8)
-        z = np.zeros(len(letters), dtype=np.uint8)
-        for j, ch in enumerate(letters):
-            x[j], z[j] = _LETTER[ch]
-            if ch == "Y":
-                phase += 1
-        return cls(phase, x, z)
+        codes = _LETTER_CODE[np.frombuffer(letters.encode("ascii"), dtype=np.uint8)]
+        return cls(_PREFIX[prefix] + letters.count("Y"), codes & 1, codes >> 1)
 
     @classmethod
     def from_vector(cls, xz, phase: int = 0) -> "PhasedPauli":
@@ -119,6 +115,20 @@ class PhasedPauli:
         return f"PhasedPauli({self.to_string()!r})"
 
 
+def row_order(rows: np.ndarray) -> np.ndarray:
+    """Entry (i, j), i < j, is z_i . x_j: the sign bit of taking row i before row j."""
+    n = rows.shape[1] // 2
+    return np.triu(mat2(rows[:, n:], rows[:, :n].T), 1)
+
+
+def product_phases(phases, later, coeffs) -> np.ndarray:
+    """Phases of the row products that row_products returns, given row_order(rows)."""
+    c = asbits(coeffs)
+    # row j's phase, plus 2 for each earlier selected row i with z_i . x_j = 1
+    per_row = np.asarray(phases, dtype=np.int64) + 2 * int_product(c, later)
+    return (c * per_row).sum(axis=1) % 4
+
+
 def row_products(phases, rows, coeffs) -> tuple[np.ndarray, np.ndarray]:
     """Products, in row order, of the rows that each coefficient vector selects.
 
@@ -127,9 +137,4 @@ def row_products(phases, rows, coeffs) -> tuple[np.ndarray, np.ndarray]:
     a sign (-1)^(z_i . x_j), as in PhasedPauli.multiply.
     """
     rows = asbits(rows)
-    n = rows.shape[1] // 2
-    later = np.triu(mat2(rows[:, n:], rows[:, :n].T), 1)
-    c = asbits(coeffs)
-    # row j's phase, plus 2 for each earlier selected row i with z_i . x_j = 1
-    per_row = np.asarray(phases, dtype=np.int64) + 2 * int_product(c, later)
-    return (c * per_row).sum(axis=1) % 4, mat2(c, rows)
+    return product_phases(phases, row_order(rows), coeffs), mat2(asbits(coeffs), rows)

@@ -32,7 +32,7 @@ from .errors import (
     ParseError,
 )
 from .gf2 import asbits, is_symplectic, mat2, rref, symplectic_inverse
-from .pauli import PhasedPauli, row_products
+from .pauli import PhasedPauli, row_order, row_products
 
 
 class StabilizerCode:
@@ -171,6 +171,14 @@ class Tableau:
     @cached_property
     def inverse(self) -> np.ndarray:
         return symplectic_inverse(self.tau)
+
+    @cached_property
+    def row_order(self) -> np.ndarray:
+        return row_order(self.tau)
+
+    @cached_property
+    def stabilizer_rref(self) -> tuple[np.ndarray, list[int], np.ndarray]:
+        return rref(self.stabilizers)
 
 
 def tableau(code: StabilizerCode) -> Tableau:

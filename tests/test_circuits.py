@@ -10,6 +10,7 @@ from autgates.circuits import (
     TWO_QUBIT_GATES,
     CliffordCircuit,
     Gate,
+    _lookup,
     circuit_from_text,
     circuit_to_qasm,
     pauli_to_gates,
@@ -218,3 +219,87 @@ def test_gate_symplectic_known_matrices():
         gate_symplectic("CZ", (0, 1), 2),
         [[1, 0, 0, 1], [0, 1, 1, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
     )
+
+
+def per_gate_propagate(circ, phases, rows):
+    """Reference: one numpy step per gate, SWAPs included, no relabeling."""
+    n = circ.n
+    rows = np.asarray(rows, dtype=np.uint8)
+    phases = np.array(phases, dtype=np.int64)
+    code = (rows[:, :n] + 2 * rows[:, n:]).T.copy()
+    for g in circ.gates:
+        inc, outs = _lookup(g.name)
+        idx = code[g.qubits[0]]
+        if len(g.qubits) == 2:
+            idx = idx + 4 * code[g.qubits[1]]
+        phases += inc[idx]
+        for q, out in zip(g.qubits, outs):
+            code[q] = out[idx]
+    return phases % 4, np.hstack([code.T & 1, code.T >> 1])
+
+
+def shaped_circuit(rng, n, length):
+    """Seeded blocks shaped like lifted generators and their corrections."""
+    gates = []
+    while len(gates) < length:
+        kind = rng.integers(5)
+        name = str(rng.choice(ALL_GATES_1Q))
+        if kind == 0:  # one gate on many distinct qubits
+            gates += [Gate(name, (int(q),)) for q in rng.permutation(n)[: rng.integers(1, n + 1)]]
+        elif kind == 1:  # a run of one gate that repeats a qubit mid-run
+            qs = list(rng.permutation(n)[: rng.integers(1, n + 1)])
+            at = int(rng.integers(1, len(qs) + 1))
+            qs.insert(at, qs[rng.integers(at)])
+            gates += [Gate(name, (int(q),)) for q in qs]
+        elif kind == 2 and n >= 2:  # one cycle's SWAP chain, as perm_to_circuit emits it
+            cyc = rng.permutation(n)[: rng.integers(2, n + 1)]
+            gates += [Gate("SWAP", (int(cyc[0]), int(q))) for q in cyc[1:]]
+        elif kind == 3 and n >= 2:  # two-qubit gates, on qubits earlier SWAPs moved
+            for _ in range(rng.integers(1, 4)):
+                a, b = rng.choice(n, 2, replace=False)
+                gates.append(Gate(str(rng.choice(TWO_QUBIT_GATES)), (int(a), int(b))))
+        else:  # a Pauli correction layer
+            layer = pauli_to_gates(PhasedPauli(0, rng.integers(0, 2, n), rng.integers(0, 2, n)))
+            gates += layer.gates
+    return CliffordCircuit(n, tuple(gates[:length]))
+
+
+def random_batch(rng, n, extra):
+    """The 2n unit rows and `extra` random rows, all with random phases."""
+    rows = np.vstack([np.eye(2 * n, dtype=np.uint8), rng.integers(0, 2, (extra, 2 * n))])
+    return rng.integers(0, 4, len(rows)), rows.astype(np.uint8)
+
+
+def test_propagate_matches_per_gate_loop_and_one_gate_folds():
+    rng = np.random.default_rng(41)
+    for _ in range(16):
+        n = int(rng.integers(1, 11))
+        circ = shaped_circuit(rng, n, int(rng.integers(50, 301)))
+        phases, rows = random_batch(rng, n, 8)
+        got_phases, got_rows = circ.propagate(phases, rows)
+        want_phases, want_rows = per_gate_propagate(circ, phases, rows)
+        assert np.array_equal(got_phases, want_phases)
+        assert np.array_equal(got_rows, want_rows)
+        for i in rng.choice(len(rows), 4, replace=False):
+            p = PhasedPauli.from_vector(rows[i], phases[i])
+            for g in circ.gates:
+                p = CliffordCircuit(n, (g,)).conjugate(p)
+            assert p == PhasedPauli.from_vector(got_rows[i], got_phases[i])
+
+
+def test_propagate_matches_dense_conjugation():
+    rng = np.random.default_rng(43)
+    for n in (1, 2, 3, 4, 4):
+        circ = shaped_circuit(rng, n, int(rng.integers(50, 301)))
+        phases, rows = random_batch(rng, n, 2)
+        got_phases, got_rows = circ.propagate(phases, rows)
+        for i in rng.choice(len(rows), 3, replace=False):
+            p = PhasedPauli.from_vector(rows[i], phases[i])
+            assert dense_conjugate(circ, p) == PhasedPauli.from_vector(got_rows[i], got_phases[i])
+
+
+def test_one_qubit_run_stops_at_a_repeated_qubit():
+    # S S is Z on one qubit, so X picks up one sign per S pair
+    circ = circuit_from_text("S 0\nS 1\nS 0\nS 1\n")
+    assert circ.conjugate(PhasedPauli.from_string("XX")) == PhasedPauli.from_string("XX")
+    assert circ.conjugate(PhasedPauli.from_string("XZ")) == PhasedPauli.from_string("-XZ")

@@ -1,4 +1,6 @@
+import itertools
 import random
+import re
 
 import numpy as np
 import pytest
@@ -26,6 +28,36 @@ def test_parse_rejects_garbage():
     for s in ["", "A", "X Y", "--X", "j X"]:
         with pytest.raises(ParseError):
             PhasedPauli.from_string(s)
+
+
+def per_letter_parse(s):
+    """Reference: the letter-by-letter rule, one Y adding one i each."""
+    m = re.match(r"^([-+]?i?)([IXYZ]+)$", s.strip())
+    if not m:
+        raise ParseError(f"bad Pauli string: {s!r}")
+    prefix, letters = m.groups()
+    phase = {"": 0, "+": 0, "+i": 1, "i": 1, "-": 2, "-i": 3}[prefix]
+    x, z = [], []
+    for ch in letters:
+        x.append(ch in "XY")
+        z.append(ch in "ZY")
+        phase += ch == "Y"
+    return PhasedPauli(phase, x, z)
+
+
+def test_parse_agrees_with_per_letter_rule():
+    for length in range(1, 5):
+        for letters in itertools.product("IXYZ", repeat=length):
+            for prefix in ("", "+", "+i", "-", "-i", "i"):
+                s = prefix + "".join(letters)
+                assert PhasedPauli.from_string(s) == per_letter_parse(s), s
+    for s in ["", " ", "+", "-i", "i", "A", "x", "XQ", "X Y", "--X", "ii X", "+iiX", "j X",
+              "-+X", "XYZ!", "Xi", "XΥ", "Ｘ", "X\nY"]:
+        with pytest.raises(ParseError) as want:
+            per_letter_parse(s)
+        with pytest.raises(ParseError) as got:
+            PhasedPauli.from_string(s)
+        assert str(got.value) == str(want.value)
 
 
 def test_multiply_matches_dense_oracle():
