@@ -12,6 +12,7 @@ error, 4 search budget exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -37,15 +38,9 @@ from .logsearch import (
     parse_target,
     synthesize,
 )
-from .pauli import PREFIXES, PhasedPauli
+from .pauli import PREFIXES
 from .permgroup import cycle_string
-from .stabilizer import (
-    destabilizers,
-    logical_paulis,
-    parse_code_file,
-    standard_form,
-    tableau,
-)
+from .stabilizer import parse_code_file, standard_form, tableau
 
 EXIT_OK = 0
 EXIT_NOT_REALIZABLE = 2
@@ -128,18 +123,13 @@ def _action_entry(report) -> dict:
 
 def cmd_analyze(args) -> tuple[int, str]:
     code = _load_code(args.code)
-    sf = standard_form(code)
-    lx, lz = logical_paulis(sf)
-    dst = destabilizers(sf)
+    sf = standard_form(code)  # for r, s and the qubit order
     t = tableau(code)
-    g_rows = sf.unpermute(sf.g_std)
-    rows = [
-        PREFIXES[int(ph)] + _split_row(row, sf.n)
-        for row, ph in zip(g_rows, sf.phases)
-    ]
-    lx_str = [PhasedPauli.from_vector(r).to_string() for r in lx]
-    lz_str = [PhasedPauli.from_vector(r).to_string() for r in lz]
-    dst_str = [PhasedPauli.from_vector(r).to_string() for r in dst]
+    rows = [PREFIXES[int(t.phases[i])] + _split_row(t.tau[i], t.n) for i in t.stab_rows]
+    lx_str, lz_str, dst_str = (
+        [t.row_pauli(i).to_string() for i in span]
+        for span in (t.logical_x_rows, t.logical_z_rows, t.destabilizer_rows)
+    )
     doc = {
         **_head("analyze", code, t.k),
         "standard_form": {
@@ -159,12 +149,9 @@ def cmd_analyze(args) -> tuple[int, str]:
         "qubit order: %s" % " ".join(str(int(q)) for q in sf.qubit_perm),
     ]
     lines += ["  " + row for row in rows]
-    lines.append("logical X:")
-    lines += ["  " + s for s in lx_str]
-    lines.append("logical Z:")
-    lines += ["  " + s for s in lz_str]
-    lines.append("destabilizers:")
-    lines += ["  " + s for s in dst_str]
+    sections = (("logical X", lx_str), ("logical Z", lz_str), ("destabilizers", dst_str))
+    for title, strings in sections:
+        lines += [title + ":"] + ["  " + s for s in strings]
     lines.append("tableau: symplectic")
     return EXIT_OK, _report(doc, args.json, lines)
 
@@ -344,6 +331,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_PARSE, "%s: error: %s\n" % (self.prog, message))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="autgates",

@@ -19,10 +19,7 @@ from .stabilizer import StabilizerCode, parse_code_file
 
 
 def _cyclic_shift(dim: int, power: int) -> np.ndarray:
-    s = np.zeros((dim, dim), dtype=np.uint8)
-    for i in range(dim):
-        s[i, (i + power) % dim] = 1
-    return s
+    return np.roll(np.eye(dim, dtype=np.uint8), power, axis=1)
 
 
 def _monomial_sum(l: int, m: int, powers) -> np.ndarray:

@@ -107,12 +107,17 @@ def parse_pairs_file(text: str, n: int) -> EmbeddingSpec:
 
 @dataclass
 class EmbeddedCode:
-    """An enlarged code with one parity auxiliary per pair."""
+    """An enlarged code with one parity auxiliary per pair.
+
+    lift, the embedding circuit that made code from base, has for pair
+    (a, b) the CNOTs a->aux, b->aux, or aux->a, aux->b for an X-type aux.
+    """
 
     base: StabilizerCode
     spec: EmbeddingSpec
     basis: str  # "z": Z-type auxiliaries (S/CZ); "x": X-type (SQRTX/CXX)
     code: StabilizerCode
+    lift: CliffordCircuit
 
     @property
     def n(self) -> int:
@@ -131,21 +136,6 @@ def _pad(rows: np.ndarray, n: int, m: int) -> np.ndarray:
     return out
 
 
-def embedding_circuit(emb: EmbeddedCode) -> CliffordCircuit:
-    """The embedding: CNOTs from each pair onto its Z-type auxiliary, or
-    from an X-type auxiliary onto its pair."""
-    gates = []
-    for j, (a, b) in enumerate(emb.spec.pairs):
-        aux = emb.n + j
-        if emb.basis == "z":
-            gates.append(Gate("CNOT", (a, aux)))
-            gates.append(Gate("CNOT", (b, aux)))
-        else:
-            gates.append(Gate("CNOT", (aux, a)))
-            gates.append(Gate("CNOT", (aux, b)))
-    return CliffordCircuit(emb.n + emb.m, tuple(gates))
-
-
 def embed(code: StabilizerCode, spec: EmbeddingSpec, basis: str = "z") -> EmbeddedCode:
     """Adjoin one parity auxiliary per pair: the padded checks and one
     parity Pauli per auxiliary, pushed through the embedding circuit."""
@@ -153,16 +143,18 @@ def embed(code: StabilizerCode, spec: EmbeddingSpec, basis: str = "z") -> Embedd
         raise DimensionError("spec is for n=%d, code has n=%d" % (spec.n, code.n))
     if basis not in ("z", "x"):
         raise DimensionError("basis must be 'z' or 'x'")
-    emb = EmbeddedCode(base=code, spec=spec, basis=basis, code=code)
     n, m = code.n, spec.m
+    cnots = [(q, n + j) for j, pair in enumerate(spec.pairs) for q in pair]
+    gates = (Gate("CNOT", c if basis == "z" else c[::-1]) for c in cnots)
+    lift = CliffordCircuit(n + m, tuple(gates))
     parity = np.eye(m, 2 * (n + m), n + (n + m if basis == "z" else 0), dtype=np.uint8)
     rows = np.vstack([_pad(code.check_matrix, n, m), parity])
     phases = [c.phase for c in code.checks] + [0] * m
-    phases, rows = embedding_circuit(emb).propagate(phases, rows)
-    emb.code = StabilizerCode(
+    phases, rows = lift.propagate(phases, rows)
+    enlarged = StabilizerCode(
         [PhasedPauli.from_vector(row, ph) for ph, row in zip(phases, rows)], n=n + m
     )
-    return emb
+    return EmbeddedCode(base=code, spec=spec, basis=basis, code=enlarged, lift=lift)
 
 
 def _fixes(name: str, pauli: str) -> bool:
@@ -265,8 +257,7 @@ def interpretation_sound(
     n, m, k = emb.n, emb.m, t.k
     rows = [*t.stab_rows, *t.logical_x_rows, *t.logical_z_rows]
     phases, bits = t.phases[rows], t.tau[rows]
-    lift = embedding_circuit(emb)
-    left_phases, left = (lift + embedded_circ + lift.inverse()).propagate(
+    left_phases, left = (emb.lift + embedded_circ + emb.lift.inverse()).propagate(
         phases, _pad(bits, n, m)
     )
     right_phases, right = interp.propagate(phases, bits)

@@ -136,7 +136,6 @@ def is_symplectic(u: np.ndarray) -> bool:
 
 
 def symplectic_inverse(u: np.ndarray) -> np.ndarray:
-    """Inverse of a symplectic matrix: omega @ u.T @ omega."""
-    u = asbits(u)
-    omega = symplectic_form(u.shape[0] // 2)
-    return mat2(mat2(omega, u.T), omega)
+    """Inverse omega u^T omega of a symplectic u (unchecked): u^T, its blocks rolled by n."""
+    n = len(u) // 2
+    return asbits(u).T.reshape(2, n, 2, n)[::-1, :, ::-1].reshape(2 * n, 2 * n)

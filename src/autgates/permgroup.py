@@ -7,12 +7,13 @@ of its basis points, so ``is_identity`` is one tuple comparison, written
 once for both; a type supplies its basis points, ``act``, ``compose``
 and ``inverse``.  ``PermElement`` permutes ``range(degree)`` and its
 basis points are ``0..d-1``.
-``MatrixElement`` is an invertible binary matrix acting on
+``MatrixElement`` is a binary symplectic matrix acting on
 row vectors encoded as integers; its basis points are the unit vectors
 ``1 << i``, so its images are the matrix rows packed into Python ints
 of any width.  An element computes its inverse at most once and keeps
 it, since sifting divides by the same transversal elements over and
-over; a matrix is inverted by Gauss-Jordan elimination on those ints.
+over; a matrix M is symplectic, so its inverse is omega M^T omega
+(``gf2.symplectic_inverse``), as ``MatrixElement`` explains.
 
 A chain's base is given up front and must be complete: only the
 identity fixes every base point.  It is never extended; an element that
@@ -69,8 +70,7 @@ import math
 
 import numpy as np
 
-from .errors import SingularMatrixError
-from .gf2 import asbits
+from .gf2 import asbits, symplectic_inverse
 
 
 def invert_word(word):
@@ -152,12 +152,15 @@ class PermElement(_Element):
 
 
 class MatrixElement(_Element):
-    """Invertible binary matrix acting on row vectors encoded as ints.
+    """Binary symplectic matrix acting on row vectors encoded as ints.
 
     A vector (v_0, ..., v_{d-1}) is encoded as sum(v_j << j), and the
     images of the unit vectors are the matrix rows so encoded.  The
     action is right multiplication v @ M, so compose(a, b) is a @ b.
-    The element carries its word in the generators.
+    The element carries its word in the generators.  Its inverse is
+    omega M^T omega, so M must be symplectic: the action chain gets its
+    elements from ``LogicalActionGroup.add`` and ``express``, whose
+    ``check_action_matrix`` rejects any other matrix.
     """
 
     __slots__ = ("word",)
@@ -193,23 +196,11 @@ class MatrixElement(_Element):
 
     def inverse(self):
         if self._inverse is None:
-            # Gauss-Jordan on [M | I], each row one int: bits 0..d-1 hold
-            # the row of M, bits d..2d-1 the row operations applied to it
-            d = len(self.images)
-            rows = [row | 1 << (d + i) for i, row in enumerate(self.images)]
-            for col in range(d):
-                bit = 1 << col
-                pivot = next((r for r in range(col, d) if rows[r] & bit), None)
-                if pivot is None:
-                    raise SingularMatrixError("singular %dx%d matrix" % (d, d))
-                rows[col], rows[pivot] = rows[pivot], rows[col]
-                top = rows[col]
-                for r, row in enumerate(rows):
-                    if row & bit and r != col:
-                        rows[r] = row ^ top
-            self._inverse = MatrixElement(
-                (row >> d for row in rows), invert_word(self.word)
-            )
+            d, width = len(self.images), (len(self.images) + 7) // 8
+            packed = b"".join(row.to_bytes(width, "little") for row in self.images)
+            rows = np.frombuffer(packed, np.uint8).reshape(d, width)
+            inv = symplectic_inverse(np.unpackbits(rows, axis=1, count=d, bitorder="little"))
+            self._inverse = MatrixElement.from_matrix(inv, invert_word(self.word))
         return self._inverse
 
     def __repr__(self):

@@ -36,7 +36,10 @@ from .pauli import PhasedPauli, row_order, row_products
 
 
 class StabilizerCode:
-    """A set of signed, commuting Pauli checks on n qubits (may be over-complete)."""
+    """A set of signed, commuting Pauli checks on n qubits (may be over-complete).
+
+    check_matrix, built once, is the read-only array of the checks' (x|z) rows.
+    """
 
     def __init__(self, checks: list[PhasedPauli], n: int | None = None):
         if checks:
@@ -50,19 +53,13 @@ class StabilizerCode:
                 raise ParseError(f"check {idx} has imaginary phase: {c.to_string()}")
         self.checks = list(checks)
         self.n = n
-        m = self.check_matrix
+        m = np.array([c.vector() for c in checks], np.uint8).reshape(len(checks), 2 * n)
+        m.flags.writeable = False
+        self.check_matrix = m
         gram = mat2(m[:, :n], m[:, n:].T)
         clash = np.argwhere(np.triu(gram ^ gram.T, 1))
         if clash.size:
             raise NonCommutingChecksError(int(clash[0, 0]), int(clash[0, 1]))
-
-    @property
-    def check_matrix(self) -> np.ndarray:
-        m = np.zeros((len(self.checks), 2 * self.n), dtype=np.uint8)
-        for i, c in enumerate(self.checks):
-            m[i, : self.n] = c.x
-            m[i, self.n :] = c.z
-        return m
 
     @classmethod
     def from_strings(cls, strings: list[str], n: int | None = None) -> "StabilizerCode":
@@ -158,6 +155,10 @@ class Tableau:
         return range(self.n - self.k, self.n)
 
     @property
+    def destabilizer_rows(self) -> range:
+        return range(self.n, 2 * self.n - self.k)
+
+    @property
     def logical_z_rows(self) -> range:
         return range(2 * self.n - self.k, 2 * self.n)
 
@@ -200,24 +201,19 @@ def parse_code_file(text: str) -> StabilizerCode:
     """Code file: '#' comments, optional first line 'n=<int>', one Pauli per line."""
     n: int | None = None
     strings: list[str] = []
-    seen_any = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if not seen_any and line.lower().startswith("n="):
+        if n is None and not strings and line.lower().startswith("n="):  # the first line
             try:
                 n = int(line[2:])
             except ValueError:
                 raise ParseError(f"line {lineno}: bad qubit count {line!r}") from None
             if n <= 0:
                 raise ParseError(f"line {lineno}: qubit count must be positive")
-            seen_any = True
             continue
-        seen_any = True
         strings.append(line)
-    if not seen_any:
-        raise ParseError("no checks and no qubit count in code file")
     if not strings and n is None:
         raise ParseError("no checks and no qubit count in code file")
     return StabilizerCode.from_strings(strings, n=n)

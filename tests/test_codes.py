@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from autgates.codes import bivariate_bicycle, corpus_names, corpus_path, load
+from autgates.codes import _cyclic_shift, bivariate_bicycle, corpus_names, corpus_path, load
 from autgates.errors import ParseError
 from autgates.stabilizer import tableau
 
@@ -49,6 +49,16 @@ def test_bicycle_small_hand_worked():
         "IIIZZIII",
         "IIZIIZII",
     ]
+
+
+def test_cyclic_shift_matches_loop():
+    # the reference loop: row i has its one in column (i + power) mod dim
+    for dim in range(1, 8):
+        for power in range(-dim - 1, 2 * dim + 1):
+            want = np.zeros((dim, dim), dtype=np.uint8)
+            for i in range(dim):
+                want[i, (i + power) % dim] = 1
+            assert np.array_equal(_cyclic_shift(dim, power), want)
 
 
 def test_bb72_file_matches_builder():

@@ -5,8 +5,7 @@ import pytest
 
 from autgates import permgroup
 from autgates.circuits import CliffordCircuit, Gate
-from autgates.errors import SingularMatrixError
-from autgates.gf2 import rank
+from autgates import gf2
 from autgates.permgroup import (
     MatrixElement,
     PermElement,
@@ -38,12 +37,20 @@ def closure(gens):
     return seen
 
 
-def random_invertible(rng, d):
-    """Uniform random matrix of GL(d, 2), with its MatrixElement."""
-    while True:
-        m = rng.integers(0, 2, size=(d, d)).astype(np.uint8)
-        if rank(m) == d:
-            return m, MatrixElement.from_matrix(m)
+def random_symplectic(rng, k):
+    """Symplectic matrix of a seeded random H, S, CNOT circuit on k qubits,
+    with its MatrixElement: an element of Sp(2k, 2)."""
+    gates = []
+    # a random length: each of H, S and CNOT is odd in Sp(4, 2) = S_6
+    for _ in range(int(rng.integers(10 * k, 20 * k + 1))):
+        q = int(rng.integers(k))
+        kind = int(rng.integers(3 if k > 1 else 2))
+        if kind == 2:
+            gates.append(Gate("CNOT", (q, (q + 1 + int(rng.integers(k - 1))) % k)))
+        else:
+            gates.append(Gate("HS"[kind], (q,)))
+    m = CliffordCircuit(k, tuple(gates)).symplectic()
+    return m, MatrixElement.from_matrix(m)
 
 
 def random_perm(rng, degree):
@@ -130,11 +137,12 @@ def test_order_and_membership_match_closure():
             assert chain.contains(PermElement(p)) == group.contains(p) == (p in ref)
             assert oracle.contains(p) == (p in ref)
     for trial in range(20):
-        # GL(5, 2) has about 10^7 elements, beyond a test's closure, so
-        # several generators are drawn only up to d = 4
-        d = int(rng.integers(2, 6))
-        count = 1 if d == 5 else int(rng.integers(1, 4))
-        mats, elts = zip(*(random_invertible(rng, d) for _ in range(count)))
+        # Sp(6, 2) has about 1.5 * 10^6 elements, beyond a test's closure,
+        # so several generators are drawn only up to 2k = 4
+        k = int(rng.integers(1, 4))
+        d = 2 * k
+        count = 1 if k == 3 else int(rng.integers(1, 4))
+        mats, elts = zip(*(random_symplectic(rng, k) for _ in range(count)))
         ref = matrix_closure(mats)
         chain = StabilizerChain(MatrixElement.identity(d), unit_vectors(d))
         for elt in elts:
@@ -144,7 +152,7 @@ def test_order_and_membership_match_closure():
             m = np.frombuffer(key, dtype=np.uint8).reshape(d, d)
             assert chain.contains(MatrixElement.from_matrix(m))
         for _ in range(10):
-            m, elt = random_invertible(rng, d)
+            m, elt = random_symplectic(rng, k)
             assert chain.contains(elt) == (m.tobytes() in ref)
 
 
@@ -245,7 +253,7 @@ def test_cycle_string_formats():
 def test_matrix_element_action_and_inverse():
     rng = np.random.default_rng(3)
     for _ in range(20):
-        m, elt = random_invertible(rng, int(rng.integers(2, 6)))
+        m, elt = random_symplectic(rng, int(rng.integers(1, 4)))
         d = len(m)
         inv = elt.inverse()
         for _ in range(10):
@@ -261,34 +269,40 @@ def test_matrix_element_action_and_inverse():
 def test_matrix_element_act_at_dimension_66():
     # rows wider than 64 bits: compare with v @ M mod 2 on bit vectors
     rng = np.random.default_rng(66)
-    d = 66
-    m = rng.integers(0, 2, size=(d, d)).astype(np.uint8)
-    elt = MatrixElement.from_matrix(m)
+    m, elt = random_symplectic(rng, 33)
+    d = len(m)
     for _ in range(20):
         v = rng.integers(0, 2, size=d).astype(np.uint8)
         point = sum(int(bit) << j for j, bit in enumerate(v))
         w = v.astype(np.int64) @ m % 2
         assert elt.act(point) == sum(int(bit) << j for j, bit in enumerate(w))
     assert elt.images == tuple(sum(int(b) << j for j, b in enumerate(r)) for r in m)
-    # the packed Gauss-Jordan inverse, here and past 128 bits
-    for d in (66, 130):
-        _, elt = random_invertible(rng, d)
+    # the inverse, here and past 128 bits
+    for k in (33, 65):
+        _, elt = random_symplectic(rng, k)
         assert elt.compose(elt.inverse()).is_identity()
         assert elt.inverse().compose(elt).is_identity()
-        # a repeated row makes the matrix singular
-        twin = MatrixElement(elt.images[:-1] + elt.images[:1])
-        with pytest.raises(SingularMatrixError):
-            twin.inverse()
 
 
-def test_matrix_chain_gl3_order():
-    # GL(3, 2) has order 168; generate from a transvection and a cycle
-    a = MatrixElement.from_matrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]], ((0, 1),))
-    b = MatrixElement.from_matrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]], ((1, 1),))
-    chain = StabilizerChain(MatrixElement.identity(3), unit_vectors(3))
-    chain.add(a)
-    chain.add(b)
-    assert chain.order() == 168
+def test_symplectic_inverse_matches_elimination():
+    # omega M^T omega against the independent Gauss-Jordan gf2.invert
+    rng = np.random.default_rng(24)
+    for k in (1, 2, 12, 33):
+        for _ in range(5):
+            m, elt = random_symplectic(rng, k)
+            want = gf2.invert(m)
+            assert np.array_equal(gf2.symplectic_inverse(m), want)
+            assert elt.inverse().images == MatrixElement.from_matrix(want).images
+
+
+def test_matrix_chain_sp4_order():
+    # Sp(4, 2) has order 720; two seeded random circuits generate it
+    rng = np.random.default_rng(3)
+    (a, elt_a), (b, elt_b) = random_symplectic(rng, 2), random_symplectic(rng, 2)
+    chain = StabilizerChain(MatrixElement.identity(4), unit_vectors(4))
+    chain.add(elt_a)
+    chain.add(elt_b)
+    assert chain.order() == len(matrix_closure([a, b])) == 720
 
 
 def test_matrix_chain_symplectic_groups():

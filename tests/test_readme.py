@@ -1,10 +1,11 @@
-"""The command line examples in README.md, run in-process.
+"""The examples in README.md, run in-process.
 
 Each ``$ autgates ...`` block must exit 0, and the lines it shows must
 appear in the command's stdout in the same order.  A ``...`` line
 stands for one or more omitted lines; elsewhere the shown lines are
 consecutive, and a block that neither starts nor ends with ``...``
-shows the whole output.
+shows the whole output.  The ``python`` block must print the group
+order its comment names and then a circuit realizing its target.
 """
 
 import re
@@ -13,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from autgates import circuit_from_text, load, parse_target, pauli_correct_and_action, tableau
 from autgates.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -70,3 +72,15 @@ def test_shown_in_matches_omissions():
     assert not shown_in(["a", "b"], out)
     assert not shown_in(["...", "b", "a", "..."], out)
     assert not shown_in(["a", "...", "b", "c", "d"], out)
+
+
+def test_readme_library_example(capsys):
+    (block,) = README.read_text().split("```python\n")[1:]
+    exec(block.split("```")[0], {})
+    order, circuit = capsys.readouterr().out.splitlines()
+    assert order == "720"
+    t = tableau(load("n4k2d2"))
+    circ = circuit_from_text(circuit.replace("; ", "\n"), n=4)
+    report = pauli_correct_and_action(t, circ)
+    assert report.valid and circ.gates
+    assert (report.u_act == parse_target("S(0)", t.k)).all()
