@@ -29,7 +29,7 @@ from .errors import DimensionError, TooManyCodewordsError
 from .gf2 import asbits, span_rows
 from .stabilizer import StabilizerCode, standard_form
 
-DEFAULT_CODEWORD_CAP = 2**16
+CODEWORD_CAP = 2**16
 
 
 class RepKind(enum.Enum):
@@ -102,7 +102,6 @@ def build(code: StabilizerCode, kind: RepKind) -> BlockRep:
 def row_augmented_matrix(
     rep: BlockRep,
     rows: RowSource = RowSource.AS_GIVEN,
-    cap: int = DEFAULT_CODEWORD_CAP,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(matrix, row_colors) for the automorphism search.
 
@@ -121,7 +120,7 @@ def row_augmented_matrix(
         g = _blockify(std[:, :n], std[:, n:], rep.kind)
     else:
         try:
-            g = span_rows(rep.g_e, cap=cap)
+            g = span_rows(rep.g_e, cap=CODEWORD_CAP)
         except DimensionError as exc:
             raise TooManyCodewordsError(str(exc)) from None
     b = rep.b_rows

@@ -11,7 +11,8 @@ h comes from the pivots of RREF(B2), where RREF([C0|B0]) = [[C2, B1], [0, B2]]
 splits the top half of U; right-multiplying by U_H then makes the upper-left
 block invertible, which yields C, then A and B by block division.  Since
 circuit symplectics compose left to right here, the emitted gate order is the
-A layer, then B, then C, then H.
+A layer, then B, then C, then H.  Each layer's symplectic is that of its
+gates, read from the circuits gate table; none is written out here.
 """
 
 from __future__ import annotations
@@ -23,43 +24,6 @@ import numpy as np
 from .circuits import CliffordCircuit, Gate
 from .errors import NotSymplecticError
 from .gf2 import asbits, invert, is_symplectic, mat2, rref
-
-
-def h_layer_matrix(h: np.ndarray) -> np.ndarray:
-    """Symplectic of H applied on the qubits where h = 1."""
-    h = asbits(h)
-    n = h.shape[0]
-    keep = np.diag(1 - h).astype(np.uint8)
-    swap = np.diag(h).astype(np.uint8)
-    return np.block([[keep, swap], [swap, keep]]).astype(np.uint8)
-
-
-def cnot_layer_matrix(c: np.ndarray) -> np.ndarray:
-    """Symplectic [[C, 0], [0, C^-T]] of a CNOT network."""
-    c = asbits(c)
-    n = c.shape[0]
-    out = np.zeros((2 * n, 2 * n), dtype=np.uint8)
-    out[:n, :n] = c
-    out[n:, n:] = invert(c).T
-    return out
-
-
-def phase_layer_matrix(b: np.ndarray) -> np.ndarray:
-    """Symplectic [[I, B], [0, I]] of an S/CZ layer."""
-    b = asbits(b)
-    n = b.shape[0]
-    out = np.eye(2 * n, dtype=np.uint8)
-    out[:n, n:] = b
-    return out
-
-
-def xphase_layer_matrix(a: np.ndarray) -> np.ndarray:
-    """Symplectic [[I, 0], [A, I]] of a sqrt(X)/C(X,X) layer."""
-    a = asbits(a)
-    n = a.shape[0]
-    out = np.eye(2 * n, dtype=np.uint8)
-    out[n:, :n] = a
-    return out
 
 
 @dataclass
@@ -75,12 +39,6 @@ class LayeredDecomposition:
     def n(self) -> int:
         return self.h.shape[0]
 
-    def reconstruct(self) -> np.ndarray:
-        return mat2(
-            mat2(xphase_layer_matrix(self.a), phase_layer_matrix(self.b)),
-            mat2(cnot_layer_matrix(self.c), h_layer_matrix(self.h)),
-        )
-
 
 def decompose(u: np.ndarray) -> LayeredDecomposition:
     """Split a symplectic matrix into H, CNOT, S/CZ and sqrt(X)/C(X,X) data."""
@@ -94,14 +52,15 @@ def decompose(u: np.ndarray) -> LayeredDecomposition:
     b2 = reduced[r:, n:]
     h = np.zeros(n, dtype=np.uint8)
     h[rref(b2)[1]] = 1
-    m = mat2(u, h_layer_matrix(h))
+    u_h = CliffordCircuit(n, tuple(Gate("H", (int(q),)) for q in np.flatnonzero(h)))
+    m = mat2(u, u_h.symplectic())
     c = m[:n, :n]
     c_inv = invert(c)
     a = mat2(m[n:, :n], c_inv)
     b = mat2(m[:n, n:], c.T)
     assert np.array_equal(a, a.T) and np.array_equal(b, b.T)
     out = LayeredDecomposition(h=h, c=c, b=b, a=a)
-    assert np.array_equal(out.reconstruct(), u)
+    assert np.array_equal(to_circuit(out).symplectic(), u)
     return out
 
 

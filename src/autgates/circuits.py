@@ -6,7 +6,8 @@ inverses and QASM are all derived from that table, and the table is checked
 against a dense unitary conjugation oracle in the test suite.  It also
 yields the decode table that lifts block permutations to gates
 (cliffordmap.block_gates) and, from that, the auxiliary rotations the
-embedded-code search probes (embedded.auxiliary_rotations).
+embedded-code search probes (embedded.auxiliary_rotations).  The layers
+of circdecomp's layered form take their symplectics from it too.
 
 Propagation (Aaronson & Gottesman, Phys. Rev. A 70, 052328, 2004) takes one
 numpy step per layer, not per gate.  A gate whose table images only
@@ -173,9 +174,6 @@ class CliffordCircuit:
     def two_qubit_count(self) -> int:
         """Number of entangling gates (CNOT, CZ, CXX); SWAPs are not counted."""
         return sum(1 for g in self.gates if g.name in TWO_QUBIT_ENTANGLERS)
-
-    def to_text(self) -> str:
-        return "\n".join(str(g) for g in self.gates) + ("\n" if self.gates else "")
 
     def __str__(self) -> str:
         return "; ".join(str(g) for g in self.gates) or "I"

@@ -56,9 +56,11 @@ _ROW_CHOICES = sorted(rows.value for rows in (RowSource.AS_GIVEN, RowSource.ALL_
 
 def _read_text(path: str) -> str:
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError("cannot read %s: %s" % (path, exc.strerror or exc)) from None
+    except UnicodeDecodeError as exc:
+        raise ParseError("cannot read %s: not UTF-8 at byte %d" % (path, exc.start)) from None
 
 
 def _load_code(arg: str):

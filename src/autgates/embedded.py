@@ -74,15 +74,6 @@ class EmbeddingSpec:
     def m(self) -> int:
         return len(self.pairs)
 
-    @property
-    def matrix(self) -> np.ndarray:
-        """The m x n pairing matrix; row j marks the members of pair j."""
-        mat = np.zeros((self.m, self.n), dtype=np.uint8)
-        for j, (a, b) in enumerate(self.pairs):
-            mat[j, a] = 1
-            mat[j, b] = 1
-        return mat
-
 
 def all_pairs(n: int) -> EmbeddingSpec:
     """Every qubit pair, in lexicographic order."""
@@ -99,7 +90,7 @@ def parse_pairs_file(text: str, n: int) -> EmbeddingSpec:
         if not line:
             continue
         parts = line.split()
-        if len(parts) != 2 or not all(p.isdigit() for p in parts):
+        if len(parts) != 2 or not all(p.isdecimal() for p in parts):
             raise ParseError("line %d: expected two qubit indices" % lineno)
         pairs.append((int(parts[0]), int(parts[1])))
     return EmbeddingSpec(n, tuple(pairs))

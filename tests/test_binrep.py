@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from autgates.binrep import (
+    CODEWORD_CAP,
     BlockRep,
     RepKind,
     RowSource,
@@ -112,9 +113,17 @@ def test_given_rows_drop_repeated_checks():
     assert list(colors) == [0] * 3 + [1] * 4
 
 
+def repetition_code(n):
+    return StabilizerCode.from_strings(["I" * i + "ZZ" + "I" * (n - 2 - i) for i in range(n - 1)])
+
+
 def test_codeword_cap():
-    rep = build(FIVE_QUBIT, RepKind.THREEBLOCK)
-    with pytest.raises(TooManyCodewordsError):
-        row_augmented_matrix(rep, RowSource.ALL_CODEWORDS, cap=8)
-    mat, _ = row_augmented_matrix(rep, RowSource.ALL_CODEWORDS, cap=16)
-    assert mat.shape == (21, 15)
+    # n - 1 independent checks span 2**(n-1) codewords: the cap admits 2**16
+    assert CODEWORD_CAP == 2**16
+    rep = build(repetition_code(17), RepKind.THREEBLOCK)
+    mat, colors = row_augmented_matrix(rep, RowSource.ALL_CODEWORDS)
+    assert mat.shape == (2**16 + 17, 3 * 17)
+    assert list(colors).count(0) == 2**16
+    rep = build(repetition_code(18), RepKind.THREEBLOCK)
+    with pytest.raises(TooManyCodewordsError, match=r"^2\*\*17 codewords exceed cap 65536$"):
+        row_augmented_matrix(rep, RowSource.ALL_CODEWORDS)

@@ -1,15 +1,7 @@
 import numpy as np
 import pytest
 
-from autgates.circdecomp import (
-    LayeredDecomposition,
-    cnot_layer_matrix,
-    decompose,
-    h_layer_matrix,
-    phase_layer_matrix,
-    to_circuit,
-    xphase_layer_matrix,
-)
+from autgates.circdecomp import LayeredDecomposition, decompose, to_circuit
 from autgates.circuits import CliffordCircuit, Gate
 from autgates.errors import NotSymplecticError
 from autgates.gf2 import mat2
@@ -62,7 +54,8 @@ def test_phase_layer_gate_emission():
     )
     circ = to_circuit(layers)
     assert [str(g) for g in circ.gates] == ["S 0", "CZ 0 1"]
-    assert np.array_equal(circ.symplectic(), phase_layer_matrix(layers.b))
+    eye, zero = np.eye(2, dtype=np.uint8), np.zeros((2, 2), dtype=np.uint8)
+    assert np.array_equal(circ.symplectic(), np.block([[eye, layers.b], [zero, eye]]))
 
 
 def test_xphase_layer_gate_emission():
@@ -74,18 +67,25 @@ def test_xphase_layer_gate_emission():
     )
     circ = to_circuit(layers)
     assert [str(g) for g in circ.gates] == ["SQRTX 1", "CXX 0 1"]
-    assert np.array_equal(circ.symplectic(), xphase_layer_matrix(layers.a))
+    eye, zero = np.eye(2, dtype=np.uint8), np.zeros((2, 2), dtype=np.uint8)
+    assert np.array_equal(circ.symplectic(), np.block([[eye, zero], [layers.a, eye]]))
 
 
-def test_layer_matrices_shapes():
-    h = h_layer_matrix(np.array([1, 0], dtype=np.uint8))
-    want = np.zeros((4, 4), dtype=np.uint8)
-    want[0, 2] = want[2, 0] = 1
-    want[1, 1] = want[3, 3] = 1
-    assert np.array_equal(h, want)
-    c = cnot_layer_matrix(np.array([[1, 1], [0, 1]], dtype=np.uint8))
-    assert np.array_equal(c[:2, :2], [[1, 1], [0, 1]])
-    assert np.array_equal(c[2:, 2:], [[1, 0], [1, 1]])
+def test_h_and_cnot_layer_block_forms():
+    zero = np.zeros((3, 3), dtype=np.uint8)
+    # H on qubit 0: its x and z columns swap, the other qubits stay
+    h_only = LayeredDecomposition(
+        h=np.array([1, 0, 0], dtype=np.uint8), c=np.eye(3, dtype=np.uint8), b=zero, a=zero
+    )
+    want = np.eye(6, dtype=np.uint8)
+    want[[0, 3]] = want[[3, 0]]
+    assert np.array_equal(to_circuit(h_only).symplectic(), want)
+    # a CNOT network is [[C, 0], [0, C^-T]]; this C is not its own inverse
+    c = np.array([[1, 1, 0], [0, 1, 1], [0, 0, 1]], dtype=np.uint8)
+    c_inv_t = np.array([[1, 0, 0], [1, 1, 0], [1, 1, 1]], dtype=np.uint8)
+    c_only = LayeredDecomposition(h=np.zeros(3, dtype=np.uint8), c=c, b=zero, a=zero)
+    want = np.block([[c, zero], [zero, c_inv_t]])
+    assert np.array_equal(to_circuit(c_only).symplectic(), want)
 
 
 def test_cnot_network_matches_arbitrary_invertible():
@@ -108,7 +108,6 @@ def test_roundtrip_random_symplectics():
         assert np.array_equal(layers.b, layers.b.T)
         circ = to_circuit(layers)
         assert np.array_equal(circ.symplectic(), u)
-        assert np.array_equal(layers.reconstruct(), u)
 
 
 def test_decompose_rejects_non_symplectic():

