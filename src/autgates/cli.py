@@ -50,8 +50,7 @@ EXIT_BUDGET = 4
 DEFAULT_BUDGET_MS = 60000.0
 
 _REP_CHOICES = sorted(kind.value for kind in RepKind)
-# the standard-form row source is offered by the library only
-_ROW_CHOICES = sorted(rows.value for rows in (RowSource.AS_GIVEN, RowSource.ALL_CODEWORDS))
+_ROW_CHOICES = sorted(rows.value for rows in RowSource)
 
 
 def _read_text(path: str) -> str:

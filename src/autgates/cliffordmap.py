@@ -5,7 +5,8 @@ qubit, into a rearrangement P_q of that qubit's blocks followed by a
 permutation sigma of the qubits realized as SWAPs.  Decoding is a lookup:
 block_gates derives, once per representation, the gate of every one-qubit
 rearrangement from the gate table by pushing the block mixer's columns
-through each gate's symplectic, so the lifted circuit is each qubit's gate
+through each gate's symplectic.  perm_to_circuit(kind, images) reads n as
+len(images) // kind.blocks and lifts the permutation to each qubit's gate
 followed by the SWAPs.  There is no second derivation to re-check it
 against; every lifted circuit is certified on the code itself, by the
 correction pass below.
@@ -26,7 +27,7 @@ from functools import cache, lru_cache
 
 import numpy as np
 
-from .binrep import BlockRep, RepKind, block_mixer
+from .binrep import RepKind, block_mixer
 from .circuits import ONE_QUBIT_GATES, CliffordCircuit, Gate, pauli_to_gates
 from .errors import DimensionError, LengthMismatchError, NotStructuredError
 from .gf2 import asbits, mat2, solve_in_span
@@ -35,10 +36,11 @@ from .permgroup import cycles
 from .stabilizer import Tableau
 
 
-def _decode_structure(rep: BlockRep, images) -> tuple[list[tuple[int, ...]], np.ndarray]:
+def _decode_structure(kind: RepKind, images) -> tuple[list[tuple[int, ...]], np.ndarray]:
     """Per-qubit block rearrangements and the induced qubit permutation."""
-    n, blocks = rep.n, rep.blocks
     images = [int(i) for i in images]
+    blocks = kind.blocks
+    n = len(images) // blocks
     if sorted(images) != list(range(blocks * n)):
         raise DimensionError(f"images do not form a permutation of {blocks * n} columns")
     sigma = np.zeros(n, dtype=np.int64)
@@ -75,19 +77,21 @@ def block_gates(kind: RepKind) -> dict[tuple[int, ...], str | None]:
     return table
 
 
-def perm_to_circuit(rep: BlockRep, images) -> CliffordCircuit:
+def perm_to_circuit(kind: RepKind, images) -> CliffordCircuit:
     """Single-qubit gates plus SWAPs realizing a structured permutation.
 
     Emits each qubit's gate from block_gates, then one SWAP chain per
     cycle of the qubit permutation: the cycle (a1 a2 ... am) becomes
-    SWAP(a1,a2), SWAP(a1,a3), ..., SWAP(a1,am).
+    SWAP(a1,a2), SWAP(a1,a3), ..., SWAP(a1,am).  Images whose length is
+    not a multiple of kind.blocks are no permutation of blocks * n
+    columns and raise DimensionError.
     """
-    local, sigma = _decode_structure(rep, images)
-    table = block_gates(rep.kind)
+    local, sigma = _decode_structure(kind, images)
+    table = block_gates(kind)
     gates = [Gate(table[loc], (q,)) for q, loc in enumerate(local) if table[loc] is not None]
     for cyc in cycles(sigma):
         gates.extend(Gate("SWAP", (cyc[0], other)) for other in cyc[1:])
-    return CliffordCircuit(rep.n, tuple(gates))
+    return CliffordCircuit(len(local), tuple(gates))
 
 
 @dataclass

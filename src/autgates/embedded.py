@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autsearch import AutSearchResult, matrix_automorphisms
-from .binrep import RepKind, build, row_augmented_matrix
+from .binrep import RepKind, row_augmented_matrix
 from .circuits import GATES, CliffordCircuit, Gate
 from .cliffordmap import block_gates, pauli_correct_and_action, perm_to_circuit
 from .errors import (
@@ -313,8 +313,7 @@ def discover_embedded_gates(
     """
     basis = "x" if kind is RepKind.SQRTXSWAP else "z"
     emb = embed(code, spec, basis=basis)
-    rep = build(emb.code, kind)
-    mat, colors = row_augmented_matrix(rep)
+    mat, colors = row_augmented_matrix(emb.code, kind)
     search = matrix_automorphisms(mat, colors, deadline=deadline)
     t = tableau(code)
     candidates = list(search.generators)
@@ -328,7 +327,7 @@ def discover_embedded_gates(
                 candidates.append(images)
     gates, rejected = [], []
     for images in candidates:
-        circ_e = perm_to_circuit(rep, images)
+        circ_e = perm_to_circuit(kind, images)
         try:
             interp = interpret(emb, circ_e)
         except EmbeddedInterpretationError as exc:

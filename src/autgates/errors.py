@@ -50,10 +50,6 @@ class TooManyCodewordsError(AutgatesError):
 class EmbeddedInterpretationError(AutgatesError):
     """Embedded-code circuit has no counterpart on the original qubits."""
 
-    def __init__(self, reason: str):
-        self.reason = reason
-        super().__init__(reason)
-
 
 class NotRealizableError(AutgatesError):
     """Target logical action is outside the discovered action group."""

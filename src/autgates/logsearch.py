@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autsearch import AutSearchResult, matrix_automorphisms
-from .binrep import RepKind, RowSource, build, row_augmented_matrix
+from .binrep import RepKind, RowSource, row_augmented_matrix
 from .circuits import CliffordCircuit, Gate
 from .cliffordmap import (
     LogicalReport,
@@ -185,8 +185,7 @@ def discover_gates(
     the correction pass; an invalid report here would mean the search
     or the lifting is broken, so it raises instead of skipping.
     """
-    rep = build(code, kind)
-    mat, colors = row_augmented_matrix(rep, rows)
+    mat, colors = row_augmented_matrix(code, kind, rows)
     search = matrix_automorphisms(mat, colors, deadline=deadline)
     t = tableau(code)
     group = LogicalActionGroup(t.k)
@@ -196,7 +195,7 @@ def discover_gates(
     bounds = search.group.prefix_orders()
     gates = []
     for images, bound in zip(search.generators, bounds):
-        circ = perm_to_circuit(rep, images)
+        circ = perm_to_circuit(kind, images)
         report = pauli_correct_and_action(t, circ)
         if not report.valid:  # pragma: no cover
             raise AutgatesError(
@@ -220,7 +219,9 @@ def parse_target(text: str, k: int) -> np.ndarray:
     Pauli terms are accepted and act as the identity, matching the
     up-to-Pauli notion of realizability.
     """
-    gates = []
+    # every term is read before any gate is built, so unparsable text is
+    # reported as such rather than as the arity of the term before it
+    terms = []
     pos = 0
     end = len(text)
     while pos < end and text[pos:].strip():
@@ -228,12 +229,11 @@ def parse_target(text: str, k: int) -> np.ndarray:
         if m is None or m.end() == pos:
             raise ParseError("cannot parse target near %r" % text[pos:])
         pos = m.end()
-        name = m.group(1).upper()
-        args = (
-            tuple(int(a) for a in m.group(2).split(","))
-            if m.group(2)
-            else ()
-        )
+        terms.append(m.groups())
+    gates = []
+    for name, args in terms:
+        name = name.upper()
+        args = tuple(int(a) for a in args.split(",")) if args else ()
         if name == "I" and not args:
             continue
         gates.append(Gate(name, args))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from autgates.autsearch import _Search, matrix_automorphisms, unique_rows
-from autgates.binrep import RepKind, RowSource, build, row_augmented_matrix
+from autgates.binrep import RepKind, RowSource, row_augmented_matrix
 from autgates.codes import bivariate_bicycle, load
 from autgates.permgroup import PermElement
 from autgates.stabilizer import StabilizerCode
@@ -60,8 +60,7 @@ def test_structured_block_group_orders():
 
 
 def test_five_qubit_h_swap_order_20():
-    rep = build(FIVE_QUBIT, RepKind.HSWAP)
-    mat, colors = row_augmented_matrix(rep, RowSource.ALL_CODEWORDS)
+    mat, colors = row_augmented_matrix(FIVE_QUBIT, RepKind.HSWAP, RowSource.ALL_CODEWORDS)
     res = matrix_automorphisms(mat, colors)
     assert res.complete
     assert res.group.order() == 20
@@ -71,8 +70,7 @@ def test_five_qubit_threeblock_orders():
     # the four independent checks admit the qubit swap (0 1)(2 4), which
     # maps XZZXI<->ZXIXZ and IXZZX<->XIXZZ, plus a block-mixing duality:
     # order 4 (checkable by hand on the check strings)
-    rep = build(FIVE_QUBIT, RepKind.THREEBLOCK)
-    mat, colors = row_augmented_matrix(rep, RowSource.AS_GIVEN)
+    mat, colors = row_augmented_matrix(FIVE_QUBIT, RepKind.THREEBLOCK, RowSource.AS_GIVEN)
     res = matrix_automorphisms(mat, colors)
     assert res.complete
     assert res.group.order() == 4
@@ -80,26 +78,19 @@ def test_five_qubit_threeblock_orders():
     images = tuple(b * 5 + swap_01_24[q] for b in range(3) for q in range(5))
     assert res.group.contains(images)
 
-    mat, colors = row_augmented_matrix(rep, RowSource.STANDARD_FORM)
-    res = matrix_automorphisms(mat, colors)
-    assert res.complete
-    assert res.group.order() == 4
-
-    rep_cyc = build(FIVE_QUBIT_CYCLIC, RepKind.THREEBLOCK)
-    mat, colors = row_augmented_matrix(rep_cyc, RowSource.AS_GIVEN)
+    mat, colors = row_augmented_matrix(FIVE_QUBIT_CYCLIC, RepKind.THREEBLOCK, RowSource.AS_GIVEN)
     res = matrix_automorphisms(mat, colors)
     assert res.complete
     assert res.group.order() == 20
 
-    mat, colors = row_augmented_matrix(rep, RowSource.ALL_CODEWORDS)
+    mat, colors = row_augmented_matrix(FIVE_QUBIT, RepKind.THREEBLOCK, RowSource.ALL_CODEWORDS)
     res = matrix_automorphisms(mat, colors)
     assert res.complete
     assert res.group.order() == 360
 
 
 def test_generators_preserve_rows():
-    rep = build(FIVE_QUBIT, RepKind.HSWAP)
-    mat, colors = row_augmented_matrix(rep, RowSource.ALL_CODEWORDS)
+    mat, colors = row_augmented_matrix(FIVE_QUBIT, RepKind.HSWAP, RowSource.ALL_CODEWORDS)
     res = matrix_automorphisms(mat, colors)
     base = sorted(
         (int(c), tuple(int(v) for v in row)) for c, row in zip(colors, mat)
@@ -146,8 +137,7 @@ def test_no_rows_gives_symmetric_group():
 
 
 def test_node_budget_reports_incomplete():
-    rep = build(FIVE_QUBIT, RepKind.THREEBLOCK)
-    mat, colors = row_augmented_matrix(rep, RowSource.ALL_CODEWORDS)
+    mat, colors = row_augmented_matrix(FIVE_QUBIT, RepKind.THREEBLOCK, RowSource.ALL_CODEWORDS)
     res = matrix_automorphisms(mat, colors, max_nodes=2)
     assert not res.complete
     assert res.group.order() >= 1
@@ -285,9 +275,8 @@ def test_search_group_is_bsgs_small_codes(code):
     code = STEANE if code == "steane" else load(code)
     rng = np.random.default_rng(5)
     for kind in RepKind:
-        rep = build(code, kind)
         for source in RowSource:
-            res = matrix_automorphisms(*row_augmented_matrix(rep, source))
+            res = matrix_automorphisms(*row_augmented_matrix(code, kind, source))
             assert res.complete
             assert_group_is_bsgs(res, rng)
 
@@ -300,8 +289,7 @@ def test_search_group_is_bsgs_large_codes(name):
         code = bivariate_bicycle(12, 6, [(3, 0), (0, 1), (0, 2)], [(0, 3), (1, 0), (2, 0)])
     rng = np.random.default_rng(7)
     for kind in (RepKind.HSWAP, RepKind.THREEBLOCK):
-        rep = build(code, kind)
-        res = matrix_automorphisms(*row_augmented_matrix(rep, RowSource.AS_GIVEN))
+        res = matrix_automorphisms(*row_augmented_matrix(code, kind, RowSource.AS_GIVEN))
         assert res.complete and res.group.order() > 1
         assert_group_is_bsgs(res, rng, samples=5)
 
@@ -319,8 +307,7 @@ def test_search_group_is_bsgs_random_matrices():
 
 
 def test_budget_stop_keeps_a_bsgs():
-    rep = build(STEANE, RepKind.THREEBLOCK)
-    mat, colors = row_augmented_matrix(rep, RowSource.ALL_CODEWORDS)
+    mat, colors = row_augmented_matrix(STEANE, RepKind.THREEBLOCK, RowSource.ALL_CODEWORDS)
     rng = np.random.default_rng(3)
     for max_nodes in (1, 3, 6, 10, 20):
         res = matrix_automorphisms(mat, colors, max_nodes=max_nodes)

@@ -11,7 +11,12 @@ from pathlib import Path
 
 import numpy as np
 
+import autgates
+from autgates import binrep, cliffordmap, embedded, logsearch
+from autgates.binrep import RepKind, row_augmented_matrix
 from autgates.circuits import CliffordCircuit, Gate
+from autgates.codes import load
+from autgates.embedded import all_pairs, embed
 from autgates.logsearch import LogicalActionGroup
 from autgates.permgroup import MatrixElement, StabilizerChain
 
@@ -50,3 +55,39 @@ def test_tracer_installs_counts_and_uninstalls():
     for name, fn in originals.items():
         assert StabilizerChain.__dict__[name] is fn
     assert MatrixElement.__dict__["inverse"] is inverse
+
+
+def test_tracer_reads_the_discovery_path():
+    # every module namespace the tracer patches for the representation
+    # and lifting spans, with the function found there before install
+    wrapped = [
+        (mod, name)
+        for mod in (autgates, binrep, cliffordmap, embedded, logsearch)
+        for name in ("build", "row_augmented_matrix", "perm_to_circuit")
+        if name in mod.__dict__
+    ]
+    originals = {(mod, name): mod.__dict__[name] for mod, name in wrapped}
+    code = load("n4k2d2")
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        assert all(mod.__dict__[name] is not originals[mod, name] for mod, name in wrapped)
+        # through the modules: names imported here before install stay unwrapped
+        found = logsearch.discover_gates(code, RepKind.SSWAP)
+        emb_found = embedded.discover_embedded_gates(code, all_pairs(code.n))
+    finally:
+        tracer.uninstall()
+    for (mod, name), fn in originals.items():
+        assert mod.__dict__[name] is fn
+    assert found.gates and emb_found.gates
+    counts = tracer.counts
+    # each search matrix is one row_augmented_matrix span with build nested in it
+    assert counts["binrep.calls"] == 4
+    emb_code = embed(code, all_pairs(code.n)).code
+    cells = sum(
+        row_augmented_matrix(c, RepKind.SSWAP)[0].size for c in (code, emb_code)
+    )
+    assert counts["binrep.matrix_cells"] == cells
+    assert counts["cliffordmap.lift_gates"] > 0
+    assert counts["logsearch.discover.calls"] == counts["embedded.calls"] == 1
+    assert counts["embedded.candidates"] > 0

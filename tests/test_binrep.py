@@ -5,7 +5,6 @@ import pytest
 
 from autgates.binrep import (
     CODEWORD_CAP,
-    BlockRep,
     RepKind,
     RowSource,
     block_mixer,
@@ -13,7 +12,7 @@ from autgates.binrep import (
     row_augmented_matrix,
 )
 from autgates.errors import TooManyCodewordsError
-from autgates.gf2 import invert, mat2, rref
+from autgates.gf2 import invert, mat2
 from autgates.stabilizer import StabilizerCode
 
 FIVE_QUBIT = StabilizerCode.from_strings(["XZZXI", "IXZZX", "XIXZZ", "ZXIXZ"])
@@ -42,20 +41,19 @@ def test_frozen_tables_five_qubit():
         RepKind.THREEBLOCK: np.hstack([GX, GZ, gxz]),
     }
     for kind, table in expected.items():
-        rep = build(FIVE_QUBIT, kind)
-        assert rep.g_e.shape == (4, kind.blocks * 5)
-        assert np.array_equal(rep.g_e, table)
+        g_e = build(FIVE_QUBIT, kind)
+        assert g_e.shape == (4, kind.blocks * 5)
+        assert np.array_equal(g_e, table)
 
 
 def test_mixer_reproduces_tables():
     n = 5
     pad = np.zeros((4, n), dtype=np.uint8)
     for kind in RepKind:
-        rep = build(FIVE_QUBIT, kind)
         base = FIVE_QUBIT.check_matrix
         if kind.blocks == 3:
             base = np.hstack([base, pad])
-        assert np.array_equal(rep.g_e, mat2(base, block_mixer(kind, n)))
+        assert np.array_equal(build(FIVE_QUBIT, kind), mat2(base, block_mixer(kind, n)))
 
 
 def test_mixers_invertible_with_known_threeblock_inverse():
@@ -70,46 +68,38 @@ def test_mixers_invertible_with_known_threeblock_inverse():
 
 
 def test_constraint_rows():
-    rep = build(FIVE_QUBIT, RepKind.THREEBLOCK)
-    b = rep.b_rows
+    mat, colors = row_augmented_matrix(FIVE_QUBIT, RepKind.THREEBLOCK)
+    b = mat[colors == 1]
     assert b.shape == (5, 15)
     for i in range(5):
         row = np.zeros(15, dtype=np.uint8)
         row[[i, i + 5, i + 10]] = 1
         assert np.array_equal(b[i], row)
-    rep2 = build(FIVE_QUBIT, RepKind.SSWAP)
-    assert rep2.b_rows.shape == (5, 10)
-    assert np.array_equal(rep2.b_rows, np.hstack([np.eye(5)] * 2).astype(np.uint8))
+    mat, colors = row_augmented_matrix(FIVE_QUBIT, RepKind.SSWAP)
+    assert mat[colors == 1].shape == (5, 10)
+    assert np.array_equal(mat[colors == 1], np.hstack([np.eye(5)] * 2).astype(np.uint8))
 
 
 def test_row_sources():
-    rep = build(FIVE_QUBIT, RepKind.HSWAP)
-    mat, colors = row_augmented_matrix(rep, RowSource.AS_GIVEN)
+    g_e = build(FIVE_QUBIT, RepKind.HSWAP)
+    mat, colors = row_augmented_matrix(FIVE_QUBIT, RepKind.HSWAP, RowSource.AS_GIVEN)
     assert mat.shape == (9, 10)
     assert list(colors) == [0] * 4 + [1] * 5
-    assert np.array_equal(mat[:4], rep.g_e)
+    assert np.array_equal(mat[:4], g_e)
 
-    mat_std, colors_std = row_augmented_matrix(rep, RowSource.STANDARD_FORM)
-    assert mat_std.shape == (9, 10)
-    # standard form rows span the same binary code
-    r_given, _, _ = rref(mat[:4])
-    r_std, _, _ = rref(mat_std[:4])
-    assert np.array_equal(r_given, r_std)
-
-    mat_all, colors_all = row_augmented_matrix(rep, RowSource.ALL_CODEWORDS)
+    mat_all, colors_all = row_augmented_matrix(FIVE_QUBIT, RepKind.HSWAP, RowSource.ALL_CODEWORDS)
     assert mat_all.shape == (16 + 5, 10)
     assert list(colors_all) == [0] * 16 + [1] * 5
     seen = {tuple(int(v) for v in row) for row in mat_all[:16]}
     assert len(seen) == 16
-    assert tuple(int(v) for v in rep.g_e[0]) in seen
+    assert tuple(int(v) for v in g_e[0]) in seen
 
 
 def test_given_rows_drop_repeated_checks():
     # a repeated check is the same stabilizer: first occurrences, in order
     code = StabilizerCode.from_strings(["XXII", "XXXX", "XXII", "ZZZZ", "XXXX"])
-    rep = build(code, RepKind.THREEBLOCK)
-    mat, colors = row_augmented_matrix(rep, RowSource.AS_GIVEN)
-    assert np.array_equal(mat[:3], rep.g_e[[0, 1, 3]])
+    mat, colors = row_augmented_matrix(code, RepKind.THREEBLOCK, RowSource.AS_GIVEN)
+    assert np.array_equal(mat[:3], build(code, RepKind.THREEBLOCK)[[0, 1, 3]])
     assert list(colors) == [0] * 3 + [1] * 4
 
 
@@ -120,10 +110,9 @@ def repetition_code(n):
 def test_codeword_cap():
     # n - 1 independent checks span 2**(n-1) codewords: the cap admits 2**16
     assert CODEWORD_CAP == 2**16
-    rep = build(repetition_code(17), RepKind.THREEBLOCK)
-    mat, colors = row_augmented_matrix(rep, RowSource.ALL_CODEWORDS)
+    code = repetition_code(17)
+    mat, colors = row_augmented_matrix(code, RepKind.THREEBLOCK, RowSource.ALL_CODEWORDS)
     assert mat.shape == (2**16 + 17, 3 * 17)
     assert list(colors).count(0) == 2**16
-    rep = build(repetition_code(18), RepKind.THREEBLOCK)
     with pytest.raises(TooManyCodewordsError, match=r"^2\*\*17 codewords exceed cap 65536$"):
-        row_augmented_matrix(rep, RowSource.ALL_CODEWORDS)
+        row_augmented_matrix(repetition_code(18), RepKind.THREEBLOCK, RowSource.ALL_CODEWORDS)

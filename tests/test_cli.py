@@ -589,6 +589,7 @@ def test_verify_json(tmp_path, capsys):
     "argv",
     [
         ["gates", "n5k1d3", "--rep", "foo"],
+        ["gates", "n5k1d3", "--rows", "standard"],
         ["find-gate", "n5k1d3"],
         ["gates", "n5k1d3", "--budget", "abc"],
         ["find-gate", "n5k1d3", "--target", "H(0)", "--max-2q", "x"],
@@ -652,6 +653,22 @@ def test_empty_code_file_exits_3(tmp_path, capsys):
 def test_bad_target_exits_3(capsys):
     rc, _, _ = run(capsys, ["find-gate", "n4k2d2", "--target", "Q(0)"])
     assert rc == 3
+
+
+@pytest.mark.parametrize(
+    "target, message",
+    [
+        ("H(²)", "cannot parse target near '(²)'"),  # isdigit, but not [0-9]
+        ("H(٣)", "cannot parse target near '(٣)'"),
+        ("H 0", "cannot parse target near '0'"),
+        ("H", "H takes one qubit, got ()"),  # parses, then fails its arity
+    ],
+)
+def test_unparsable_target_names_the_text(capsys, target, message):
+    rc, out, err = run(capsys, ["find-gate", "n4k2d2", "--target", target])
+    assert rc == 3
+    assert out == ""
+    assert err.startswith("error: %s\n" % message)
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from autgates.binrep import RepKind, RowSource, build
+from autgates.binrep import RepKind, RowSource
 from autgates.circuits import (
     GATES,
     ONE_QUBIT_GATES,
@@ -22,7 +22,7 @@ from autgates.cliffordmap import (
     verify_preserves_stabilizers,
 )
 from autgates.codes import bivariate_bicycle, load
-from autgates.errors import DimensionError, NotStructuredError
+from autgates.errors import DimensionError, LengthMismatchError, NotStructuredError
 from autgates.gf2 import is_symplectic
 from autgates.logsearch import discover_gates
 from autgates.pauli import PhasedPauli
@@ -35,12 +35,7 @@ FOUR_TWO_TWO = ["XXXX", "ZZZZ"]
 STEANE = ["IIIXXXX", "IXXIIXX", "XIXIXIX", "IIIZZZZ", "IZZIIZZ", "ZIZIZIZ"]
 
 
-def one_qubit_rep(kind):
-    return build(StabilizerCode.from_strings(["Z"]), kind)
-
-
 def test_single_qubit_threeblock_conversions():
-    rep = one_qubit_rep(RepKind.THREEBLOCK)
     cases = {
         (0, 1, 2): ((), np.eye(2, dtype=np.uint8)),
         (1, 0, 2): (("H",), np.array([[0, 1], [1, 0]], dtype=np.uint8)),
@@ -50,7 +45,7 @@ def test_single_qubit_threeblock_conversions():
         (2, 0, 1): (("GAMMADG",), np.array([[0, 1], [1, 1]], dtype=np.uint8)),
     }
     for images, (names, want_u) in cases.items():
-        circ = perm_to_circuit(rep, images)
+        circ = perm_to_circuit(RepKind.THREEBLOCK, images)
         assert tuple(g.name for g in circ.gates) == names
         assert np.array_equal(circ.symplectic(), want_u), images
 
@@ -61,17 +56,14 @@ def test_single_qubit_two_block_conversions():
         (RepKind.SSWAP, "S", [[1, 1], [0, 1]]),
         (RepKind.SQRTXSWAP, "SQRTX", [[1, 0], [1, 1]]),
     ]:
-        rep = one_qubit_rep(kind)
-        circ = perm_to_circuit(rep, (1, 0))
+        circ = perm_to_circuit(kind, (1, 0))
         assert [g.name for g in circ.gates] == [name]
         assert np.array_equal(circ.symplectic(), np.array(want_u, dtype=np.uint8))
-        assert len(perm_to_circuit(rep, (0, 1))) == 0
+        assert len(perm_to_circuit(kind, (0, 1))) == 0
 
 
 def test_qubit_permutation_gives_swap_blocks():
     rng = np.random.RandomState(7)
-    code = StabilizerCode.from_strings(FIVE_QUBIT)
-    rep = build(code, RepKind.THREEBLOCK)
     n = 5
     for _ in range(10):
         sigma = rng.permutation(n)
@@ -80,7 +72,7 @@ def test_qubit_permutation_gives_swap_blocks():
         want = np.zeros((2 * n, 2 * n), dtype=np.uint8)
         want[:n, :n] = q_mat
         want[n:, n:] = q_mat
-        circ = perm_to_circuit(rep, images)
+        circ = perm_to_circuit(RepKind.THREEBLOCK, images)
         assert all(g.name == "SWAP" for g in circ.gates)
         assert np.array_equal(circ.symplectic(), want)
 
@@ -89,7 +81,6 @@ def test_symplectic_matches_dense_conjugated_permutation():
     rng = np.random.RandomState(5)
     for kind in RepKind:
         for n in range(1, 7):
-            rep = build(StabilizerCode([], n=n), kind)
             for _ in range(4):
                 sigma = rng.permutation(n)
                 local = [rng.permutation(kind.blocks) for _ in range(n)]
@@ -97,7 +88,7 @@ def test_symplectic_matches_dense_conjugated_permutation():
                     int(local[q][b] * n + sigma[q]) for b in range(kind.blocks) for q in range(n)
                 ]
                 assert np.array_equal(
-                    perm_to_circuit(rep, images).symplectic(),
+                    perm_to_circuit(kind, images).symplectic(),
                     dense_perm_symplectic(kind, images),
                 )
 
@@ -105,11 +96,10 @@ def test_symplectic_matches_dense_conjugated_permutation():
 @pytest.mark.parametrize("kind", list(RepKind))
 def test_block_gates_match_dense_conjugated_permutation(kind):
     # the one lifting table, entry by entry, against E_1 P E_1^-1
-    rep = one_qubit_rep(kind)
     perms = set(itertools.permutations(range(kind.blocks)))
     assert set(block_gates(kind)) == perms
     for images in perms:
-        circ = perm_to_circuit(rep, images)
+        circ = perm_to_circuit(kind, images)
         assert len(circ) == (images != tuple(range(kind.blocks)))
         assert np.array_equal(circ.symplectic(), dense_perm_symplectic(kind, images)), images
 
@@ -142,26 +132,32 @@ def test_lifted_generators_match_dense_large_codes(name, kind):
 
 
 def test_swap_chain_realizes_long_cycle():
-    code = StabilizerCode.from_strings(FIVE_QUBIT)
-    rep = build(code, RepKind.THREEBLOCK)
     n = 5
     sigma = [1, 2, 3, 4, 0]  # five-cycle
     images = [b * n + sigma[q] for b in range(3) for q in range(n)]
-    circ = perm_to_circuit(rep, images)
+    circ = perm_to_circuit(RepKind.THREEBLOCK, images)
     assert [str(g) for g in circ.gates] == ["SWAP 0 1", "SWAP 0 2", "SWAP 0 3", "SWAP 0 4"]
 
 
 def test_unstructured_and_malformed_permutations():
-    code = StabilizerCode.from_strings(["XX", "ZZ"])
-    rep = build(code, RepKind.THREEBLOCK)
+    kind = RepKind.THREEBLOCK
     # columns 0 (block 0, qubit 0) and 3 (block 1, qubit 1) swapped
     bad = [3, 1, 2, 0, 4, 5]
     with pytest.raises(NotStructuredError):
-        perm_to_circuit(rep, bad)
+        perm_to_circuit(kind, bad)
     with pytest.raises(DimensionError):
-        perm_to_circuit(rep, [0, 0, 2, 3, 4, 5])
+        perm_to_circuit(kind, [0, 0, 2, 3, 4, 5])
+    # n is read off the length, which must be a multiple of the blocks
     with pytest.raises(DimensionError):
-        perm_to_circuit(rep, [0, 1, 2])
+        perm_to_circuit(kind, [0, 1, 2, 3])
+    with pytest.raises(DimensionError):
+        perm_to_circuit(RepKind.HSWAP, list(range(7)))
+    # a permutation of too few columns lifts to a circuit on too few
+    # qubits, which the correction pass rejects against the code
+    short = perm_to_circuit(kind, [0, 1, 2])
+    assert short.n == 1
+    with pytest.raises(LengthMismatchError):
+        pauli_correct_and_action(tableau(StabilizerCode.from_strings(["XX", "ZZ"])), short)
 
 
 def duality_circuit():
@@ -172,16 +168,15 @@ def duality_circuit():
         images[q] = n + (2 * q) % n
         images[n + q] = (2 * q) % n
     code = StabilizerCode.from_strings(FIVE_QUBIT)
-    rep = build(code, RepKind.HSWAP)
-    return code, perm_to_circuit(rep, images), rep, images
+    return code, perm_to_circuit(RepKind.HSWAP, images), images
 
 
 def test_five_qubit_duality_is_logical_h():
-    code, circ, rep, images = duality_circuit()
+    code, circ, images = duality_circuit()
     assert [str(g) for g in circ.gates] == [
         "H 0", "H 1", "H 2", "H 3", "H 4", "SWAP 1 2", "SWAP 1 4", "SWAP 1 3",
     ]
-    assert np.array_equal(circ.symplectic(), dense_perm_symplectic(rep.kind, images))
+    assert np.array_equal(circ.symplectic(), dense_perm_symplectic(RepKind.HSWAP, images))
     t = tableau(code)
     report = pauli_correct_and_action(t, circ)
     assert report.valid

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from autgates.binrep import RepKind, RowSource, build
+from autgates.binrep import RepKind, RowSource
 from autgates.circuits import CliffordCircuit, Gate
 from autgates.cliffordmap import corrected_circuit, perm_to_circuit, verify_preserves_stabilizers
 from autgates.embedded import (
@@ -364,9 +364,8 @@ def test_auxiliary_rotations_pinned(kind, parity, rotations, gate):
     # the probes come from the lifting table: the rearrangement whose gate
     # fixes the auxiliary's parity Pauli; H fixes neither, so hswap has none
     assert auxiliary_rotations(kind, parity) == rotations
-    rep = build(StabilizerCode.from_strings(["Z"]), kind)
     for local in rotations:
-        assert [g.name for g in perm_to_circuit(rep, local).gates] == [gate]
+        assert [g.name for g in perm_to_circuit(kind, local).gates] == [gate]
 
 
 def test_discovery_reduces_to_plain_when_no_pairs(four_qubit):

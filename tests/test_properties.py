@@ -16,7 +16,7 @@ import random
 import pytest
 
 from autgates.autsearch import matrix_automorphisms
-from autgates.binrep import RepKind, RowSource, build, row_augmented_matrix
+from autgates.binrep import RepKind, RowSource, row_augmented_matrix
 from autgates.cliffordmap import corrected_circuit, verify_preserves_stabilizers
 from autgates.gf2 import rank
 from autgates.logsearch import discover_gates
@@ -44,9 +44,8 @@ CODES = random_codes(606, 10)
 @pytest.mark.parametrize("kind", list(RepKind), ids=lambda kind: kind.value)
 def test_given_row_automorphisms_keep_every_codeword(kind):
     for code in CODES:
-        rep = build(code, kind)
-        given = matrix_automorphisms(*row_augmented_matrix(rep, RowSource.AS_GIVEN))
-        codewords = matrix_automorphisms(*row_augmented_matrix(rep, RowSource.ALL_CODEWORDS))
+        given = matrix_automorphisms(*row_augmented_matrix(code, kind, RowSource.AS_GIVEN))
+        codewords = matrix_automorphisms(*row_augmented_matrix(code, kind, RowSource.ALL_CODEWORDS))
         assert given.complete and codewords.complete
         for images in given.generators:
             assert codewords.group.contains(images)
