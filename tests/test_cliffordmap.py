@@ -26,7 +26,7 @@ from autgates.errors import DimensionError, LengthMismatchError, NotStructuredEr
 from autgates.gf2 import is_symplectic
 from autgates.logsearch import discover_gates
 from autgates.pauli import PhasedPauli
-from autgates.stabilizer import StabilizerCode, tableau
+from autgates.stabilizer import StabilizerCode, standard_form, tableau
 
 from oracles import dense_conjugate, dense_perm_symplectic
 
@@ -118,6 +118,30 @@ def test_lifted_generators_match_dense_small_codes(name, kind, rows):
     for gate in d.gates:
         want = dense_perm_symplectic(kind, gate.images)
         assert np.array_equal(gate.circuit.symplectic(), want), gate.images
+
+
+@pytest.mark.parametrize("kind", list(RepKind))
+@pytest.mark.parametrize("name", ["n4k2d2", "n5k1d3", "steane"])
+def test_lifted_generators_match_dense_standard_form_checks(name, kind):
+    # the same stabilizer group, given by its standard-form generators
+    code = StabilizerCode.from_strings(STEANE) if name == "steane" else load(name)
+    sf = standard_form(code)
+    std = sf.unpermute(sf.g_std)
+    n = code.n
+    std_code = StabilizerCode(
+        [PhasedPauli(p, row[:n], row[n:]) for p, row in zip(sf.phases, std)], n=n
+    )
+    d = discover_gates(std_code, kind, RowSource.AS_GIVEN)
+    assert d.gates
+    for gate in d.gates:
+        want = dense_perm_symplectic(kind, gate.images)
+        assert np.array_equal(gate.circuit.symplectic(), want), gate.images
+    # codeword rows depend on the group, not on the generators chosen
+    orders = [
+        discover_gates(c, kind, RowSource.ALL_CODEWORDS).search.group.order()
+        for c in (code, std_code)
+    ]
+    assert orders[0] == orders[1]
 
 
 @pytest.mark.parametrize("kind", [RepKind.HSWAP, RepKind.THREEBLOCK])
