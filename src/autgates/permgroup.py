@@ -29,6 +29,11 @@ it holds, and that group only grows, so a generator sifted once sifts
 to the identity ever after and would change nothing.  Trees, strong
 generators and ``express`` words are those of the plain algorithm.
 
+Each tree is a Schreier vector: a rebuild records, breadth first, each
+orbit point's parent and the step that first reached it, and composes
+nothing.  A point's transversal element, its parent's composed with that
+step, is built on first use and kept until the next rebuild.
+
 ``add`` may be given an upper bound on the order of the group generated,
 and then stops sifting Schreier generators once the chain's order, the
 product of its tree lengths, reaches it (the known-order stop of
@@ -211,37 +216,55 @@ class StabilizerChain:
     """One level of a stabilizer chain; ``add`` runs deterministic Schreier-Sims.
 
     Generators stored at a level fix the base points of all earlier
-    levels.  The orbit of the level's base point is kept as a transversal
-    dict mapping each orbit point to an element sending the base point to
-    it.  The prescribed base must be complete; it is never extended.
+    levels.  ``tree`` maps each point of the base point's orbit to the
+    edge (parent point, step) that first reached it, and
+    ``transversal(point)`` gives an element sending the base point there.
+    The prescribed base must be complete; it is never extended.
     """
 
-    __slots__ = ("identity", "basepoint", "gens", "tree", "stab", "sifted")
+    __slots__ = ("identity", "basepoint", "gens", "tree", "elements", "stab", "sifted")
 
     def __init__(self, identity, prescribed_base=()):
-        self.identity = identity
-        self.basepoint = None
-        self.gens = []
-        self.tree = {}
-        self.stab = None
-        self.sifted = set()
         base = tuple(prescribed_base)
-        if base:
-            self.basepoint = base[0]
-            self.tree = {base[0]: identity}
-            if len(base) > 1:
-                self.stab = StabilizerChain(identity, base[1:])
+        self.identity = identity
+        self.basepoint = base[0] if base else None
+        self.gens = []
+        self.tree = dict.fromkeys(base[:1])  # the base point has no edge
+        self.elements = dict.fromkeys(base[:1], identity)
+        self.stab = StabilizerChain(identity, base[1:]) if len(base) > 1 else None
+        self.sifted = set()
+
+    def levels(self):
+        """This level and every deeper one, top down."""
+        node = self
+        while node is not None and node.basepoint is not None:
+            yield node
+            node = node.stab
 
     def strong_generators(self):
         """All generators at this level and deeper, deepest first."""
-        gens = [] if self.stab is None else self.stab.strong_generators()
-        return gens + self.gens
+        return [g for node in reversed(list(self.levels())) for g in node.gens]
 
     def order(self):
-        if self.basepoint is None:
-            return 1
-        sub = 1 if self.stab is None else self.stab.order()
-        return len(self.tree) * sub
+        return math.prod(len(node.tree) for node in self.levels())
+
+    def transversal(self, point):
+        """Element sending the base point to point; None off the orbit.
+
+        Composed from the nearest ancestor already built, down the
+        tree's edges, and cached until the next rebuild.
+        """
+        u = self.elements.get(point)
+        if u is not None or point not in self.tree:
+            return u
+        path = []
+        while point not in self.elements:
+            path.append(point)
+            point = self.tree[point][0]
+        u = self.elements[point]
+        for point in reversed(path):
+            u = self.elements[point] = u.compose(self.tree[point][1])
+        return u
 
     def sift(self, g):
         """Divide g by transversal elements level by level.
@@ -249,14 +272,12 @@ class StabilizerChain:
         An identity residue means g is a member; otherwise the residue
         witnesses non-membership.
         """
-        node = self
-        while node is not None and node.basepoint is not None:
-            u = node.tree.get(g.act(node.basepoint))
+        for node in self.levels():
+            u = node.transversal(g.act(node.basepoint))
             if u is None:
                 return g
             if u is not node.identity:
                 g = g.compose(u.inverse())
-            node = node.stab
         return g
 
     def contains(self, g):
@@ -309,34 +330,29 @@ class StabilizerChain:
         self._close(stop)
 
     def _rebuild_tree(self):
-        steps = []
-        for g in self.strong_generators():
-            steps.append(g)
-            steps.append(g.inverse())
-        tree = {self.basepoint: self.identity}
+        steps = [s for g in self.strong_generators() for s in (g, g.inverse())]
+        tree = {self.basepoint: None}
         queue = [self.basepoint]
-        head = 0
-        while head < len(queue):
-            a = queue[head]
-            head += 1
-            u = tree[a]
+        for a in queue:
             for s in steps:
                 b = s.act(a)
                 if b not in tree:
-                    tree[b] = u.compose(s)
+                    tree[b] = (a, s)
                     queue.append(b)
         self.tree = tree
+        self.elements = {self.basepoint: self.identity}
 
     def _close(self, stop):
         """Sift every Schreier generator not yet sifted into the stabilizer."""
         if self.stab is None:  # each one fixes the whole base: the identity
             return
         gens = self.strong_generators()
-        for point, u in self.tree.items():
+        for point in self.tree:
+            u = self.transversal(point)
             for s in gens:
                 if stop is not None and stop.reached:
                     return
-                v = self.tree[s.act(point)]
+                v = self.transversal(s.act(point))
                 key = (u.images, s.images, v.images)
                 if key not in self.sifted:
                     self.sifted.add(key)
@@ -369,10 +385,7 @@ class PermGroup:
 
     def __init__(self, degree, base=(), strong_generators=()):
         self.chain = StabilizerChain(PermElement.identity(degree), base)
-        self.levels, node = [], self.chain
-        while node is not None and node.basepoint is not None:
-            self.levels.append(node)
-            node = node.stab
+        self.levels = list(self.chain.levels())
         self.generators, self.depths = [], []  # images and level, in the order given
         for images in strong_generators:
             if len(images) != degree:

@@ -6,8 +6,10 @@ block-structured brute force checks automorphism groups without the
 refinement search; a breadth-first closure of binary matrices checks
 matrix groups without the stabilizer chain; a plain Schreier-Sims on
 image tuples, sharing no code with autgates.permgroup, checks the
-permutation chains; a chain's levels, words included, compare two chains
-built differently; and a refinement on dense incidence counts checks the
+permutation chains; a breadth-first tree on bit matrices that composes
+every element checks the matrix chain's trees, which compose on first
+use; a chain's levels, words included, compare two chains built
+differently; and a refinement on dense incidence counts checks the
 search's refinement on adjacency lists.
 """
 
@@ -367,12 +369,84 @@ def chain_levels(chain):
     levels = []
     node = chain
     while node is not None:
+        tree = [(point, node.transversal(point)) for point in node.tree]
         levels.append(
             (
                 node.basepoint,
                 [(g.images, g.word) for g in node.gens],
-                [(point, u.images, u.word) for point, u in node.tree.items()],
+                [(point, u.images, u.word) for point, u in tree],
             )
         )
         node = node.stab
     return levels
+
+
+def _vector(point, d):
+    """Bits of a point encoded as sum(v_j << j)."""
+    return np.array([(point >> j) & 1 for j in range(d)], dtype=np.uint8)
+
+
+def _point(bits):
+    return sum(int(b) << j for j, b in enumerate(bits))
+
+
+def _matrix(images, d):
+    """Bit matrix whose rows are the encoded images of the unit vectors."""
+    return np.array([_vector(row, d) for row in images], dtype=np.uint8)
+
+
+def _invert_word(word):
+    return tuple((idx, -exp) for idx, exp in reversed(word))
+
+
+def eager_tree(level):
+    """A matrix chain level's tree with every element composed: (point, images, word).
+
+    Written apart from autgates.permgroup's trees, on bit matrices with
+    words as tuples: a breadth-first search from the level's base point
+    over the generators at this level and deeper, deepest first, each
+    followed by its inverse, composing the element of every point when
+    the point is reached.  Run right after a rebuild, it gives the tree
+    that rebuild made.
+    """
+    nodes, node = [], level
+    while node is not None:
+        nodes.append(node)
+        node = node.stab
+    d = len(level.identity.images)
+    steps = []
+    for node in reversed(nodes):
+        for g in node.gens:
+            m = _matrix(g.images, d)
+            steps += [(m, g.word), (invert(m), _invert_word(g.word))]
+    tree = {level.basepoint: (np.eye(d, dtype=np.uint8), ())}
+    queue = [level.basepoint]
+    for a in queue:
+        u, word = tree[a]
+        for m, w in steps:
+            b = _point(mat2(_vector(a, d), m))
+            if b not in tree:
+                tree[b] = (mat2(u, m), word + w)
+                queue.append(b)
+    return [(p, tuple(map(_point, u)), word) for p, (u, word) in tree.items()]
+
+
+def eager_express(trees, m):
+    """Word of the bit matrix m that sifting through the given level trees gives.
+
+    trees are eager_tree lists, top level first.  Sifting divides m by
+    the element of its base point's image at each level in turn, so m is
+    those elements applied deepest first; None when m is not a member.
+    """
+    d = len(m)
+    words = []
+    for tree in trees:
+        elements = {p: (images, word) for p, images, word in tree}
+        hit = elements.get(_point(mat2(_vector(tree[0][0], d), m)))
+        if hit is None:
+            return None
+        m = mat2(m, invert(_matrix(hit[0], d)))
+        words.append(hit[1])
+    if not np.array_equal(m, np.eye(d, dtype=np.uint8)):
+        return None
+    return tuple(f for w in reversed(words) for f in w)

@@ -32,7 +32,7 @@ from autgates.logsearch import (
     parse_target,
     synthesize,
 )
-from autgates.permgroup import MatrixElement, StabilizerChain
+from autgates.permgroup import MatrixElement, PermElement, StabilizerChain
 from autgates.stabilizer import StabilizerCode
 
 from oracles import chain_levels
@@ -319,6 +319,39 @@ def test_prefix_orders_stop_the_bb72_sifts(monkeypatch):
     found = discover_gates(load("bb72"), RepKind.HSWAP, RowSource.AS_GIVEN)
     assert found.group.order() == 864
     assert calls[0] < 100
+
+
+def test_trees_compose_on_first_use(monkeypatch):
+    # a rebuild records each orbit point's edge and composes nothing, so
+    # bb72 hswap's recorded actions build their chain in 47 compositions;
+    # eager trees, which compose every orbit point's element, took 544
+    calls = [0]
+
+    def counted(fn):
+        def wrapper(*args):
+            calls[0] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for cls in (MatrixElement, PermElement):
+        monkeypatch.setattr(cls, "compose", counted(cls.compose))
+    plain_rebuild = StabilizerChain._rebuild_tree
+
+    def composes_nothing(chain):
+        before = calls[0]
+        plain_rebuild(chain)
+        assert calls[0] == before
+
+    monkeypatch.setattr(StabilizerChain, "_rebuild_tree", composes_nothing)
+    found = discover_gates(load("bb72"), RepKind.HSWAP, RowSource.AS_GIVEN)
+    calls[0] = 0
+    group = LogicalActionGroup(found.group.k)
+    bounds = found.search.group.prefix_orders()
+    for (u, circ), bound in zip(found.group.generators, bounds):
+        group.add(u, circ, bound)
+    assert group.order() == 864
+    assert calls[0] <= 60
 
 
 def test_synthesize_rejects_bad_targets(five_qubit_discovery):

@@ -16,7 +16,14 @@ from autgates.permgroup import (
     invert_images,
 )
 
-from oracles import SchreierSims, base_points, chain_levels, matrix_closure
+from oracles import (
+    SchreierSims,
+    base_points,
+    chain_levels,
+    eager_express,
+    eager_tree,
+    matrix_closure,
+)
 
 
 def closure(gens):
@@ -412,3 +419,44 @@ def test_order_bound_skips_only_sifts(monkeypatch):
     assert grown.order() == 48
     assert grown.add(gens[3])
     assert chain_levels(grown) == chain_levels(plain)
+
+
+@pytest.mark.parametrize("bounded", [False, True], ids=["unbounded", "bounded"])
+@pytest.mark.parametrize("k, count", [(1, 2), (2, 2), (3, 2), (6, 1)])
+def test_lazy_trees_equal_eager_trees(monkeypatch, k, count, bounded):
+    # two seeded elements generate Sp(2k, 2) for k <= 3; at k = 6 one
+    # element, as Sp(12, 2)'s chain takes minutes, with an 84-point orbit
+    rng = np.random.default_rng(40 + k)
+    mats, elts = zip(*(random_symplectic(rng, k) for _ in range(count)))
+    gens = [MatrixElement(e.images, ((i, 1),)) for i, e in enumerate(elts)]
+    d = 2 * k
+
+    def build(bound):
+        chain = StabilizerChain(MatrixElement.identity(d), unit_vectors(d))
+        for g in gens:
+            chain.add(g, bound)
+        return chain
+
+    bound = build(None).order() if bounded else None
+    # each level's tree as its last rebuild made it, composed eagerly
+    eager = {}
+    plain_rebuild = StabilizerChain._rebuild_tree
+
+    def recording_rebuild(level):
+        plain_rebuild(level)
+        eager[level] = eager_tree(level)
+
+    monkeypatch.setattr(StabilizerChain, "_rebuild_tree", recording_rebuild)
+    chain = build(bound)
+    # a level never rebuilt holds its base point alone
+    trees = [eager.get(level, [(level.basepoint, level.identity.images, ())])
+             for level in chain.levels()]
+    assert [tree for _, _, tree in chain_levels(chain)] == trees
+    assert len(trees[0]) > 1
+    # express words of seeded members, against sifting through the eager trees
+    for _ in range(10):
+        m = np.eye(d, dtype=np.uint8)
+        for idx in rng.integers(0, count, size=8):
+            m = gf2.mat2(m, mats[int(idx)])
+        elt = chain.express(MatrixElement.from_matrix(m))
+        assert elt is not None and elt.word == eager_express(trees, m)
