@@ -76,10 +76,12 @@ class LogicalActionGroup:
 
         bound, if given, must be at least the order of the group that
         every action registered so far, this one included, generates.
-        When those are the images of the first j search generators, the
-        order of the group these generate is one (PermGroup.prefix_orders).
-        It only saves work: the group, its order and every express word
-        are as without it.  A bound that is too small gives a wrong group.
+        When those are the images of the group H_j that the first j
+        search generators generate (PermGroup.prefix_orders), |H_j| is
+        such a bound, and so is |H_j| / |K|, for K the kernel of that map
+        on H_{j-1} (discover_gates).  It only saves work: the group, its
+        order and every express word are as without it.  A bound that
+        is too small gives a wrong group.
         """
         u = check_action_matrix(u_act, self.k)
         idx = len(self.generators)
@@ -189,19 +191,25 @@ def discover_gates(
     search = matrix_automorphisms(mat, colors, deadline=deadline)
     t = tableau(code)
     group = LogicalActionGroup(t.k)
-    # the first j actions are a homomorphic image of the group that the
-    # first j search generators generate, so its exact order bounds theirs;
-    # it is exact for the group found also when the search was cut short
-    bounds = search.group.prefix_orders()
+    # the first j actions are the image phi(H_j) of the group H_j that the
+    # first j search generators generate (prefix_orders, exact also when the
+    # search was cut short).  With K_j = ker phi & H_j, K_{j-1} <= K_j as
+    # H_{j-1} <= H_j, so |phi(H_j)| = |H_j| / |K_j| <= |H_j| / |K_{j-1}|; and
+    # |K_{j-1}| = |H_{j-1}| / |phi(H_{j-1})|, as each add leaves the chain
+    # complete, so its order is exact
+    kernel = 1
     gates = []
-    for images, bound in zip(search.generators, bounds):
+    for images, order in zip(search.generators, search.group.prefix_orders()):
         circ = perm_to_circuit(kind, images)
         report = pauli_correct_and_action(t, circ)
         if not report.valid:  # pragma: no cover
             raise AutgatesError(
                 "automorphism lifted to a circuit that breaks the code"
             )
-        group.add(report.u_act, circ, bound)
+        group.add(report.u_act, circ, order // kernel)
+        kernel, rest = divmod(order, group.order())
+        if rest:  # Lagrange: |phi(H_j)| divides |H_j|
+            raise AutgatesError("logical actions are not an image of the automorphisms")
         gates.append(DiscoveredGate(images=images, circuit=circ, report=report))
     return DiscoveryResult(tableau=t, search=search, gates=gates, group=group)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 
 import numpy as np
@@ -18,6 +19,7 @@ from autgates.cliffordmap import (
 )
 from autgates.codes import bivariate_bicycle, load
 from autgates.errors import (
+    AutgatesError,
     DimensionError,
     NotRealizableError,
     NotSymplecticError,
@@ -60,6 +62,11 @@ def bfs_closure(mats):
                     nxt.append(prod)
         frontier = nxt
     return table
+
+
+def gross_code():
+    """The [[144,12,12]] gross code (Bravyi et al., Nature 627, 2024)."""
+    return bivariate_bicycle(12, 6, [(3, 0), (0, 1), (0, 2)], [(0, 3), (1, 0), (2, 0)])
 
 
 def word_matrix(group, word):
@@ -276,10 +283,7 @@ def test_order_bound_keeps_the_chain_small_codes(name):
 @pytest.mark.parametrize("kind", [RepKind.HSWAP, RepKind.THREEBLOCK])
 @pytest.mark.parametrize("name", ["bb72", "gross"])
 def test_order_bound_keeps_the_chain_large_codes(name, kind):
-    if name == "bb72":
-        code = load("bb72")
-    else:
-        code = bivariate_bicycle(12, 6, [(3, 0), (0, 1), (0, 2)], [(0, 3), (1, 0), (2, 0)])
+    code = load("bb72") if name == "bb72" else gross_code()
     assert_bound_changes_no_level(discover_gates(code, kind, RowSource.AS_GIVEN))
 
 
@@ -319,6 +323,50 @@ def test_prefix_orders_stop_the_bb72_sifts(monkeypatch):
     found = discover_gates(load("bb72"), RepKind.HSWAP, RowSource.AS_GIVEN)
     assert found.group.order() == 864
     assert calls[0] < 100
+
+
+def test_carried_kernel_stops_the_gross_sifts(monkeypatch):
+    # gross's automorphisms map 2:1 onto its actions; bounding insert j by
+    # |H_j| alone, the last insert sifted every Schreier generator: 230
+    bounds, calls = [], [0]
+    add, chain_add = LogicalActionGroup.add, StabilizerChain._add
+
+    def recorded(self, u_act, circuit, bound=None):
+        bounds.append(bound)
+        return add(self, u_act, circuit, bound)
+
+    def counted(self, gen, stop):
+        calls[0] += 1
+        return chain_add(self, gen, stop)
+
+    monkeypatch.setattr(LogicalActionGroup, "add", recorded)
+    monkeypatch.setattr(StabilizerChain, "_add", counted)
+    found = discover_gates(gross_code(), RepKind.HSWAP, RowSource.AS_GIVEN)
+    assert found.search.group.prefix_orders() == [6, 72, 144, 288]
+    assert bounds == [6, 72, 72, 144]
+    assert found.group.order() == 144
+    assert found.search.group.order() == 288
+    assert calls[0] < 80
+
+
+def test_actions_that_break_lagrange_raise(monkeypatch):
+    # n5k1d3's first automorphism generates a group of order 2; an action
+    # of order 3 in its place cannot be its image
+    real = logsearch.pauli_correct_and_action
+    order_three = np.array([[0, 1], [1, 1]], dtype=np.uint8)
+    calls = [0]
+
+    def first_of_order_three(t, circ):
+        report = real(t, circ)
+        if calls[0] == 0:
+            report = dataclasses.replace(report, u_act=order_three)
+        calls[0] += 1
+        return report
+
+    monkeypatch.setattr(logsearch, "pauli_correct_and_action", first_of_order_three)
+    code = StabilizerCode.from_strings(FIVE_QUBIT)
+    with pytest.raises(AutgatesError, match="not an image"):
+        discover_gates(code, RepKind.HSWAP, RowSource.AS_GIVEN)
 
 
 def test_trees_compose_on_first_use(monkeypatch):

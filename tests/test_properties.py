@@ -8,7 +8,10 @@ oracle stays small.  For every representation:
   automorphism of the full codeword set, Aut(given) <= Aut(codewords);
 - each discovered gate keeps every stabilizer, sign included
   (verify_preserves_stabilizers), and acts on the code space as its
-  reported logical action says (the dense-unitary oracle).
+  reported logical action says (the dense-unitary oracle);
+- the action chain that discover_gates bounds by the carried kernel is
+  the chain built without bounds, and its order is that of the brute-force
+  closure of the actions.
 """
 
 import random
@@ -19,10 +22,10 @@ from autgates.autsearch import matrix_automorphisms
 from autgates.binrep import RepKind, RowSource, row_augmented_matrix
 from autgates.cliffordmap import corrected_circuit, verify_preserves_stabilizers
 from autgates.gf2 import rank
-from autgates.logsearch import discover_gates
+from autgates.logsearch import LogicalActionGroup, discover_gates
 from autgates.stabilizer import StabilizerCode, tableau
 
-from oracles import dense_logical_action_holds
+from oracles import chain_levels, dense_logical_action_holds, matrix_closure
 from test_stabilizer import random_signed_code
 
 
@@ -65,3 +68,30 @@ def test_discovered_gates_pass_the_dense_oracle(kind):
                 assert dense_logical_action_holds(circ, code.checks, logicals, gate.report.u_act)
                 gates += 1
     assert gates > 0
+
+
+@pytest.mark.parametrize("kind", list(RepKind), ids=lambda kind: kind.value)
+def test_kernel_bounds_keep_the_action_chain(kind, monkeypatch):
+    bounds = []
+    add = LogicalActionGroup.add
+
+    def recorded(self, u_act, circuit, bound=None):
+        bounds.append(bound)
+        return add(self, u_act, circuit, bound)
+
+    monkeypatch.setattr(LogicalActionGroup, "add", recorded)
+    lowered = 0
+    for code in CODES:
+        for rows in (RowSource.AS_GIVEN, RowSource.ALL_CODEWORDS):
+            bounds.clear()
+            found = discover_gates(code, kind, rows)
+            group = found.group
+            actions = [u for u, _ in group.generators]
+            plain = LogicalActionGroup(group.k)
+            for u, circ in group.generators:
+                add(plain, u, circ)
+            assert chain_levels(group._chain) == chain_levels(plain._chain)
+            assert group.order() == (len(matrix_closure(actions)) if actions and group.k else 1)
+            # a kernel carried from an earlier prefix lowers a later bound
+            lowered += any(b < order for b, order in zip(bounds, found.search.group.prefix_orders()))
+    assert lowered > 0
