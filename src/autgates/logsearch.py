@@ -17,6 +17,7 @@ final correction pass.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -53,6 +54,11 @@ def check_action_matrix(u_act, k: int) -> np.ndarray:
     return u
 
 
+def symplectic_group_order(k: int) -> int:
+    """|Sp(2k, 2)| = 2^(k^2) (4 - 1)(4^2 - 1)...(4^k - 1)."""
+    return 2 ** (k * k) * math.prod(4**i - 1 for i in range(1, k + 1))
+
+
 class LogicalActionGroup:
     """Group of logical actions, each backed by an implementing circuit.
 
@@ -74,18 +80,21 @@ class LogicalActionGroup:
     def add(self, u_act, circuit: CliffordCircuit, bound: int | None = None) -> bool:
         """Register an action with a circuit; True if the group grew.
 
-        bound, if given, must be at least the order of the group that
-        every action registered so far, this one included, generates.
-        When those are the images of the group H_j that the first j
-        search generators generate (PermGroup.prefix_orders), |H_j| is
-        such a bound, and so is |H_j| / |K|, for K the kernel of that map
-        on H_{j-1} (discover_gates).  It only saves work: the group, its
-        order and every express word are as without it.  A bound that
-        is too small gives a wrong group.
+        bound must be at least the order of the group that every action
+        registered so far, this one included, generates; it defaults to
+        |Sp(2k, 2)|, as every action is symplectic.  When those are the
+        images of the group H_j that the first j search generators
+        generate (PermGroup.prefix_orders), |H_j| is such a bound, and so
+        is |H_j| / |K|, for K the kernel of that map on H_{j-1}
+        (discover_gates).  It only saves work: the group, its order and
+        every express word are as without it.  A bound that is too small
+        gives a wrong group.
         """
         u = check_action_matrix(u_act, self.k)
         idx = len(self.generators)
         self.generators.append((u, circuit))
+        if bound is None:
+            bound = symplectic_group_order(self.k)
         return self._chain.add(MatrixElement.from_matrix(u, ((idx, 1),)), bound)
 
     def order(self) -> int:

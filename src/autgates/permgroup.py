@@ -21,14 +21,6 @@ fixes it all and is not the identity raises ``ValueError``, and the last
 level sifts no Schreier generators, as each fixes the whole base.  The
 action chain's base is all 2k unit vectors, ``PermGroup``'s the search's.
 
-Each chain level remembers the Schreier generators u*s*v^-1 it has
-already passed to the level below, keyed by the images of u, s and v,
-and never composes or sifts one again.  Skipping one cannot change the
-chain: when ``add`` returns, the level below is complete for the group
-it holds, and that group only grows, so a generator sifted once sifts
-to the identity ever after and would change nothing.  Trees, strong
-generators and ``express`` words are those of the plain algorithm.
-
 Each tree is a Schreier vector: a rebuild records, breadth first, each
 orbit point's parent and the step that first reached it, and composes
 nothing.  A point's transversal element, its parent's composed with that
@@ -50,7 +42,9 @@ generating set, and every Schreier generator still to come would sift
 to the identity.  Only those sifts are skipped.  Each level still
 rebuilds its tree after a deeper insertion, since the new deeper
 generators come first in its breadth-first search and so change its
-transversal, and with it the words.
+transversal, and with it the words.  The stop is the only skip, and
+every insert into the logical-action chain has a bound
+(``LogicalActionGroup.add``).
 
 Only ``MatrixElement``, the element of the logical-action chain, carries
 a word in the user's generators: a tuple of ``(generator_index,
@@ -222,7 +216,7 @@ class StabilizerChain:
     The prescribed base must be complete; it is never extended.
     """
 
-    __slots__ = ("identity", "basepoint", "gens", "tree", "elements", "stab", "sifted")
+    __slots__ = ("identity", "basepoint", "gens", "tree", "elements", "stab")
 
     def __init__(self, identity, prescribed_base=()):
         base = tuple(prescribed_base)
@@ -232,7 +226,6 @@ class StabilizerChain:
         self.tree = dict.fromkeys(base[:1])  # the base point has no edge
         self.elements = dict.fromkeys(base[:1], identity)
         self.stab = StabilizerChain(identity, base[1:]) if len(base) > 1 else None
-        self.sifted = set()
 
     def levels(self):
         """This level and every deeper one, top down."""
@@ -343,7 +336,7 @@ class StabilizerChain:
         self.elements = {self.basepoint: self.identity}
 
     def _close(self, stop):
-        """Sift every Schreier generator not yet sifted into the stabilizer."""
+        """Sift each Schreier generator into the stabilizer until the stop fires."""
         if self.stab is None:  # each one fixes the whole base: the identity
             return
         gens = self.strong_generators()
@@ -353,10 +346,7 @@ class StabilizerChain:
                 if stop is not None and stop.reached:
                     return
                 v = self.transversal(s.act(point))
-                key = (u.images, s.images, v.images)
-                if key not in self.sifted:
-                    self.sifted.add(key)
-                    self.stab._add(u.compose(s).compose(v.inverse()), stop)
+                self.stab._add(u.compose(s).compose(v.inverse()), stop)
 
 
 class _OrderStop:

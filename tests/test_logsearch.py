@@ -13,6 +13,7 @@ from autgates.circuits import (
     CliffordCircuit,
     Gate,
 )
+from autgates.cli import main
 from autgates.cliffordmap import (
     pauli_correct_and_action,
     verify_preserves_stabilizers,
@@ -32,12 +33,13 @@ from autgates.logsearch import (
     discover_gates,
     parse_action_matrix,
     parse_target,
+    symplectic_group_order,
     synthesize,
 )
 from autgates.permgroup import MatrixElement, PermElement, StabilizerChain
 from autgates.stabilizer import StabilizerCode
 
-from oracles import chain_levels
+from oracles import chain_levels, matrix_closure
 
 FIVE_QUBIT = ["XZZXI", "IXZZX", "XIXZZ", "ZXIXZ"]
 FOUR_QUBIT = ["XXXX", "ZZZZ"]
@@ -236,9 +238,10 @@ def test_action_group_beyond_64_bit_rows(k):
 
 def test_action_chain_skips_redundant_work(monkeypatch):
     # Z plus 8 idle qubits: the action group is the monomial group
-    # S_8 x 2^8.  Sifting each Schreier generator once builds it in
-    # about 1,200 compositions; sifting them all after every insert
-    # takes about 7,700, a cost that grows as about k^4.6
+    # S_8 x 2^8, far below the |Sp(16, 2)| bound, so no known-order stop
+    # cuts these inserts short and every Schreier generator is sifted.
+    # That takes about 1,400 compositions only because each transversal
+    # element is composed on first use, not at every tree rebuild
     code = StabilizerCode.from_strings(["Z" + "I" * 8])
     found = discover_gates(code, RepKind.HSWAP, RowSource.AS_GIVEN)
     calls = {"compose": 0, "rref": 0}
@@ -260,16 +263,23 @@ def test_action_chain_skips_redundant_work(monkeypatch):
     assert calls["compose"] < 2000
 
 
+def plain_chain(group):
+    """The chain of group's actions, built by StabilizerChain.add with no bound."""
+    dim = 2 * group.k
+    chain = StabilizerChain(MatrixElement.identity(dim), tuple(1 << i for i in range(dim)))
+    for idx, (u, _) in enumerate(group.generators):
+        chain.add(MatrixElement.from_matrix(u, ((idx, 1),)), bound=None)
+    return chain
+
+
 def assert_bound_changes_no_level(found, complete=True):
     """The chain built with the prefix orders as bounds equals the chain built without."""
     assert found.search.complete == complete
-    plain = LogicalActionGroup(found.group.k)
-    for u, circ in found.group.generators:
-        plain.add(u, circ)
+    plain = plain_chain(found.group)
     # the bounds hold because the actions are a homomorphic image of the
     # group found, also when the search was cut short
     assert plain.order() <= found.search.group.order()
-    assert chain_levels(found.group._chain) == chain_levels(plain._chain)
+    assert chain_levels(found.group._chain) == chain_levels(plain)
 
 
 @pytest.mark.parametrize("name", ["n4k2d2", "n5k1d3", "steane"])
@@ -347,6 +357,40 @@ def test_carried_kernel_stops_the_gross_sifts(monkeypatch):
     assert found.group.order() == 144
     assert found.search.group.order() == 288
     assert calls[0] < 80
+
+
+def test_symplectic_group_order():
+    # H and S on each qubit and one CNOT generate all of Sp(2k, 2)
+    for k, names in ((1, ["H(0)", "S(0)"]), (2, ["H(0)", "S(0)", "H(1)", "S(1)", "CNOT(0,1)"])):
+        assert symplectic_group_order(k) == len(matrix_closure([parse_target(t, k) for t in names]))
+    assert [symplectic_group_order(k) for k in range(4)] == [1, 6, 720, 1451520]
+
+
+def test_sp_bound_stops_the_embedded_sifts(monkeypatch, tmp_path):
+    # find-gate --embed all adds embedded gates with no prefix order to
+    # bound them.  They generate the whole Sp(2k, 2) on these codes, so
+    # the |Sp(2k, 2)| default stops their inserts: 921 sifts over the 17
+    # targets, against 1,785 with no stop
+    steane = tmp_path / "steane.stab"
+    steane.write_text("\n".join(STEANE) + "\n")
+    targets = {
+        "n4k2d2": ["H(0)", "H(1)", "S(0)", "S(1)", "CNOT(0,1)", "CNOT(1,0)", "CZ(0,1)",
+                   "SWAP(0,1)", "CXX(0,1)"],
+        "n5k1d3": ["H(0)", "S(0)", "SQRTX(0)", "GAMMA(0)"],
+        str(steane): ["H(0)", "S(0)", "SQRTX(0)", "GAMMA(0)"],
+    }
+    calls = [0]
+    add = StabilizerChain._add
+
+    def counted(self, gen, stop):
+        calls[0] += 1
+        return add(self, gen, stop)
+
+    monkeypatch.setattr(StabilizerChain, "_add", counted)
+    for code, names in targets.items():
+        for target in names:
+            assert main(["find-gate", code, "--target", target, "--embed", "all"]) == 0
+    assert calls[0] <= 1000
 
 
 def test_actions_that_break_lagrange_raise(monkeypatch):
