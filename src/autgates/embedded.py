@@ -21,7 +21,8 @@ Both forms are built by the embedding circuit, CNOTs from the pair
 members onto each Z-type auxiliary (from each X-type auxiliary onto its
 members): the checks, padded with the identity on the auxiliaries, and
 one Z (X) on each auxiliary go through it in one batch, so lifted checks
-keep their signs and parity checks are +.
+keep their signs and parity checks are +.  The circuit is its own
+inverse: its CNOTs commute, since none targets a qubit another controls.
 
 Automorphism discovery runs on the embedded code; interpretation maps
 each embedded circuit back to the original qubits and is then checked
@@ -244,11 +245,13 @@ def interpretation_sound(
     the embedding circuit V, where the embedded circuit E becomes V, then
     E, then V^-1, the lift of P is P itself, and the embedded stabilizers
     are the code's stabilizers times parity Paulis on the auxiliaries.
+    V^-1 is V: its CNOTs are self-inverse and commute, each with its control
+    on an original qubit and its target on an auxiliary (X-type: reversed).
     """
     n, m, k = emb.n, emb.m, t.k
     rows = [*t.stab_rows, *t.logical_x_rows, *t.logical_z_rows]
     phases, bits = t.phases[rows], t.tau[rows]
-    left_phases, left = (emb.lift + embedded_circ + emb.lift.inverse()).propagate(
+    left_phases, left = (emb.lift + embedded_circ + emb.lift).propagate(
         phases, _pad(bits, n, m)
     )
     right_phases, right = interp.propagate(phases, bits)

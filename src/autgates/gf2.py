@@ -7,7 +7,7 @@ BLAS on 0/1 operands cast to float32 (int_product): an entry counts at most
 k ones, k the inner dimension, so it is exact for k < 2**24; larger k raises.
 int_product serves only mat2 and pauli.row_products; the automorphism
 search keeps its incidence as adjacency lists and uses neither BLAS nor
-dense storage.
+dense storage.  symplectic_inverse is the one home of omega = [[0, I], [I, 0]].
 """
 
 from __future__ import annotations
@@ -118,24 +118,17 @@ def span_rows(m: np.ndarray, cap: int | None = None) -> np.ndarray:
     return mat2(combos.astype(np.uint8), basis)
 
 
-def symplectic_form(n: int) -> np.ndarray:
-    """The 2n x 2n form [[0, I], [I, 0]]."""
-    omega = np.zeros((2 * n, 2 * n), dtype=np.uint8)
-    omega[:n, n:] = np.eye(n, dtype=np.uint8)
-    omega[n:, :n] = np.eye(n, dtype=np.uint8)
-    return omega
-
-
 def is_symplectic(u: np.ndarray) -> bool:
-    """True iff u @ omega @ u.T == omega over GF(2)."""
+    """True iff u @ symplectic_inverse(u) == I, that is u omega u^T == omega
+    (omega^2 = I): one product certifies the inverse that callers then use."""
     u = asbits(u)
     if u.ndim != 2 or u.shape[0] != u.shape[1] or u.shape[0] % 2:
         raise DimensionError(f"expected even square matrix, got {u.shape}")
-    omega = symplectic_form(u.shape[0] // 2)
-    return bool(np.array_equal(mat2(mat2(u, omega), u.T), omega))
+    return bool(np.array_equal(mat2(u, symplectic_inverse(u)), np.eye(len(u), dtype=np.uint8)))
 
 
 def symplectic_inverse(u: np.ndarray) -> np.ndarray:
-    """Inverse omega u^T omega of a symplectic u (unchecked): u^T, its blocks rolled by n."""
+    """Inverse omega u^T omega of a symplectic u (unchecked): u^T, its blocks
+    rolled by n.  The only home of omega; is_symplectic checks u against it."""
     n = len(u) // 2
     return asbits(u).T.reshape(2, n, 2, n)[::-1, :, ::-1].reshape(2 * n, 2 * n)

@@ -157,9 +157,9 @@ class MatrixElement(_Element):
     images of the unit vectors are the matrix rows so encoded.  The
     action is right multiplication v @ M, so compose(a, b) is a @ b.
     The element carries its word in the generators.  Its inverse is
-    omega M^T omega, so M must be symplectic: the action chain gets its
-    elements from ``LogicalActionGroup.add`` and ``express``, whose
-    ``check_action_matrix`` rejects any other matrix.
+    omega M^T omega, so M must be symplectic: ``check_action_matrix``, in
+    ``LogicalActionGroup.add`` and ``express``, admits only an M whose
+    product with that very inverse is the identity.
     """
 
     __slots__ = ("word",)

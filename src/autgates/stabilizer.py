@@ -139,7 +139,8 @@ def destabilizers(sf: StandardForm) -> np.ndarray:
 
 @dataclass
 class Tableau:
-    """Symplectic 2n x 2n tableau [G; L_X; R; L_Z] with row sign exponents."""
+    """Symplectic 2n x 2n tableau [G; L_X; R; L_Z] with row sign exponents;
+    tableau() certifies ``inverse`` by is_symplectic (tau @ inverse == I)."""
 
     n: int
     k: int

@@ -9,8 +9,9 @@ image tuples, sharing no code with autgates.permgroup, checks the
 permutation chains; a breadth-first tree on bit matrices that composes
 every element checks the matrix chain's trees, which compose on first
 use; a chain's levels, words included, compare two chains built
-differently; and a refinement on dense incidence counts checks the
-search's refinement on adjacency lists.
+differently; a refinement on dense incidence counts checks the
+search's refinement on adjacency lists; and the form omega, written out
+as a matrix, checks symplecticity without gf2.
 """
 
 from __future__ import annotations
@@ -203,6 +204,19 @@ def matrix_closure(gens) -> dict[bytes, np.ndarray]:
                     new.append(m)
         frontier = np.array(new, dtype=np.uint8).reshape(-1, d, d)
     return seen
+
+
+def omega(n: int) -> np.ndarray:
+    """The 2n x 2n symplectic form [[0, I], [I, 0]]."""
+    eye, zero = np.eye(n, dtype=np.uint8), np.zeros((n, n), dtype=np.uint8)
+    return np.block([[zero, eye], [eye, zero]])
+
+
+def omega_symplectic(u) -> bool:
+    """Does the 2n x 2n binary u keep omega, u omega u^T == omega mod 2?"""
+    u = np.asarray(u, dtype=np.int64)
+    form = omega(len(u) // 2).astype(np.int64)
+    return bool(np.array_equal(u @ form @ u.T % 2, form))
 
 
 def dense_logical_action_holds(circ: CliffordCircuit, checks, logicals, u_act) -> bool:

@@ -4,6 +4,7 @@ import pytest
 from autgates.binrep import RepKind, RowSource
 from autgates.circuits import CliffordCircuit, Gate
 from autgates.cliffordmap import corrected_circuit, perm_to_circuit, verify_preserves_stabilizers
+from autgates.codes import load
 from autgates.embedded import (
     EmbeddingSpec,
     all_pairs,
@@ -165,6 +166,40 @@ def test_embed_matches_block_formula(name, basis):
             "x": ["-YYIIZ", "XXXXI", "-ZZZZI", "XIXIX"],
         }
         assert [c.to_string() for c in emb.code.checks] == want[basis]
+
+
+@pytest.mark.parametrize("basis", ["z", "x"])
+@pytest.mark.parametrize("name", ["n4k2d2", "n5k1d3", "steane"])
+def test_lift_is_its_own_inverse(name, basis):
+    code = StabilizerCode.from_strings(PIN_CODES[name])
+    rng = np.random.default_rng(7)
+    for spec in [all_pairs(code.n), parse_pairs_file("0 1\n1 3\n# skip 0 2\n3 2\n", code.n)]:
+        lift = embed(code, spec, basis=basis).lift
+        twice = lift + lift
+        width = 2 * twice.n
+        assert np.array_equal(twice.symplectic(), np.eye(width, dtype=np.uint8))
+        # every unit row and seeded random rows, each with every phase
+        rows = np.vstack([np.eye(width, dtype=np.uint8),
+                          rng.integers(0, 2, (50, width), dtype=np.uint8)])
+        rows = np.repeat(rows, 4, axis=0)
+        phases = np.tile(np.arange(4), len(rows) // 4)
+        got_phases, got = twice.propagate(phases, rows)
+        assert np.array_equal(got, rows)
+        assert np.array_equal(got_phases, phases)
+
+
+def test_soundness_check_builds_no_inverse_circuit(monkeypatch):
+    calls = []
+    inverse = CliffordCircuit.inverse
+
+    def counting_inverse(self):
+        calls.append(None)
+        return inverse(self)
+
+    monkeypatch.setattr(CliffordCircuit, "inverse", counting_inverse)
+    for kind in (RepKind.SSWAP, RepKind.SQRTXSWAP):
+        assert discover_embedded_gates(load("n4k2d2"), all_pairs(4), kind).gates
+    assert calls == []
 
 
 def test_interpret_rules_z_basis(four_qubit):

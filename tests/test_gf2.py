@@ -5,7 +5,11 @@ import numpy as np
 import pytest
 
 from autgates import gf2
+from autgates.circuits import CliffordCircuit, Gate
 from autgates.errors import DimensionError, SingularMatrixError
+
+from oracles import matrix_closure, omega, omega_symplectic
+from test_permgroup import random_symplectic
 
 
 def random_matrix(rng, rows, cols):
@@ -89,19 +93,56 @@ def test_span_rows_counts_and_membership():
         gf2.span_rows(m, cap=3)
 
 
-def test_symplectic_form_and_inverse():
-    rng = random.Random(5)
-    omega = gf2.symplectic_form(3)
+def test_identity_and_omega_are_symplectic_and_omega_self_inverse():
+    form = omega(3)
     assert gf2.is_symplectic(np.eye(6, dtype=np.uint8))
-    assert gf2.is_symplectic(omega)
+    assert gf2.is_symplectic(form)
+    # the closed-form inverse on omega itself, which squares to the identity;
+    # test_permgroup checks it against elimination on circuit symplectics
+    assert np.array_equal(gf2.mat2(form, gf2.symplectic_inverse(form)), np.eye(6, dtype=np.uint8))
+
+
+@pytest.mark.parametrize("shape", [(5, 5), (1, 1), (4, 6), (6, 4), (4,)])
+def test_is_symplectic_rejects_odd_and_non_square_shapes(shape):
     with pytest.raises(DimensionError):
-        gf2.is_symplectic(np.eye(5, dtype=np.uint8))
-    # random symplectics via elementary generators, built from circuits later;
-    # here just check the closed form of the inverse on omega itself
-    assert np.array_equal(
-        gf2.mat2(omega, gf2.symplectic_inverse(omega)), np.eye(6, dtype=np.uint8)
-    )
-    del rng
+        gf2.is_symplectic(np.zeros(shape, dtype=np.uint8))
+
+
+def test_is_symplectic_takes_one_product(monkeypatch):
+    calls = []
+    product = gf2.mat2
+
+    def counting_mat2(a, b):
+        calls.append(None)
+        return product(a, b)
+
+    monkeypatch.setattr(gf2, "mat2", counting_mat2)
+    assert gf2.is_symplectic(omega(4))
+    assert len(calls) == 1
+
+
+def test_is_symplectic_agrees_with_omega_on_sp4():
+    gates = [Gate("H", (0,)), Gate("H", (1,)), Gate("S", (0,)), Gate("S", (1,)),
+             Gate("CNOT", (0, 1))]
+    group = matrix_closure([CliffordCircuit(2, (g,)).symplectic() for g in gates])
+    assert len(group) == 720  # |Sp(4, 2)|
+    assert all(gf2.is_symplectic(u) and omega_symplectic(u) for u in group.values())
+
+
+def test_is_symplectic_agrees_with_omega_on_random_matrices():
+    # uniform matrices, almost none symplectic for k > 1, plus circuit
+    # symplectics and the same with one bit flipped
+    rng = np.random.default_rng(11)
+    for k in (1, 2, 3):
+        near = [random_symplectic(rng, k)[0] for _ in range(40)]
+        flipped = [u.copy() for u in near]
+        for u in flipped:
+            u[tuple(rng.integers(0, 2 * k, 2))] ^= 1
+        uniform = list(rng.integers(0, 2, (200, 2 * k, 2 * k), dtype=np.uint8))
+        verdicts = [(gf2.is_symplectic(u), omega_symplectic(u)) for u in near + flipped + uniform]
+        assert all(mine == oracle for mine, oracle in verdicts)
+        accepted = sum(mine for mine, _ in verdicts)
+        assert len(near) <= accepted < len(verdicts) // 2
 
 
 def test_int_product_matches_int64_product():
