@@ -15,7 +15,6 @@ from autgates import (
     discover_gates,
     load,
     parse_target,
-    standard_form,
     synthesize,
     tableau,
     verify_preserves_stabilizers,
@@ -27,14 +26,15 @@ print("checks:")
 for p in code.checks:
     print(" ", p.to_string())
 
-# standard form: identity block on the left, logicals read off the blocks
-sf = standard_form(code)
+# the tableau keeps the standard form it was built from: identity block
+# on the left, logicals read off the blocks
+t = tableau(code)
+sf = t.standard_form
 print("\nstandard form (r=%d s=%d k=%d):" % (sf.r, sf.s, sf.k))
 for row in sf.unpermute(sf.g_std):
     x, z = row[:5], row[5:]
     print("  %s|%s" % ("".join(map(str, x)), "".join(map(str, z))))
 
-t = tableau(code)
 print("logical X:", PhasedPauli.from_vector(t.tau[t.logical_x_rows][0]).to_string())
 print("logical Z:", PhasedPauli.from_vector(t.tau[t.logical_z_rows][0]).to_string())
 

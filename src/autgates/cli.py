@@ -40,7 +40,7 @@ from .logsearch import (
 )
 from .pauli import PREFIXES
 from .permgroup import cycle_string
-from .stabilizer import parse_code_file, standard_form, tableau
+from .stabilizer import parse_code_file, tableau
 
 EXIT_OK = 0
 EXIT_NOT_REALIZABLE = 2
@@ -54,12 +54,15 @@ _ROW_CHOICES = sorted(rows.value for rows in RowSource)
 
 
 def _read_text(path: str) -> str:
+    """The file's UTF-8 text without a leading byte-order mark; decoding the
+    bytes whole keeps a bad byte's offset in the file, BOM included."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_bytes().decode("utf-8")
     except OSError as exc:
         raise ParseError("cannot read %s: %s" % (path, exc.strerror or exc)) from None
     except UnicodeDecodeError as exc:
         raise ParseError("cannot read %s: not UTF-8 at byte %d" % (path, exc.start)) from None
+    return text.removeprefix("\ufeff")
 
 
 def _load_code(arg: str):
@@ -124,8 +127,8 @@ def _action_entry(report) -> dict:
 
 def cmd_analyze(args) -> tuple[int, str]:
     code = _load_code(args.code)
-    sf = standard_form(code)  # for r, s and the qubit order
     t = tableau(code)
+    sf = t.standard_form
     rows = [PREFIXES[int(t.phases[i])] + _split_row(t.tau[i], t.n) for i in t.stab_rows]
     lx_str, lz_str, dst_str = (
         [t.row_pauli(i).to_string() for i in span]

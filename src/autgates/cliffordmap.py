@@ -30,7 +30,7 @@ import numpy as np
 from .binrep import RepKind, block_mixer
 from .circuits import ONE_QUBIT_GATES, CliffordCircuit, Gate, pauli_to_gates
 from .errors import DimensionError, LengthMismatchError, NotStructuredError
-from .gf2 import asbits, mat2, solve_in_span
+from .gf2 import asbits, mat2
 from .pauli import PhasedPauli, product_phases, row_products
 from .permgroup import cycles
 from .stabilizer import Tableau
@@ -168,15 +168,17 @@ def correction_is_logical(t: Tableau, report: LogicalReport) -> bool:
 def verify_preserves_stabilizers(t: Tableau, circ: CliffordCircuit) -> bool:
     """Independent check that each signed check maps to a +1-signed stabilizer.
 
-    Solves the batch of images over the stabilizer rows only, sharing no
+    The stabilizer rows are the identity at the standard form's pivots, so
+    an image's coefficients over them are its entries there; an image that
+    its coefficients do not rebuild lies outside the span.  Each sign is
+    then compared with its coefficients' product.  This shares no
     decomposition path with pauli_correct_and_action (no tableau inverse,
-    no destabilizers), and compares each sign with its solution's product.
-    It reads the tableau's cached reduction and row order of those rows.
+    no destabilizers) and row-reduces nothing.
     """
     phases, stab, r = t.phases[t.stab_rows], t.stabilizers, t.n - t.k
     mapped_phases, mapped = circ.propagate(phases, stab)
-    coeffs = solve_in_span(stab, mapped, t.stabilizer_rref)
-    if coeffs is None:
+    coeffs = mapped[:, t.stabilizer_pivots]
+    if not np.array_equal(mat2(coeffs, stab), mapped):
         return False
     prod_phases = product_phases(phases, t.row_order[:r, :r], coeffs)
     return bool(np.array_equal(prod_phases, mapped_phases))

@@ -85,24 +85,6 @@ def invert(m: np.ndarray) -> np.ndarray:
     return ops
 
 
-def solve_in_span(m: np.ndarray, v: np.ndarray, reduced=None) -> np.ndarray | None:
-    """Solve g @ m == v over GF(2) for one row v or a stack of rows.
-
-    Returns g (one coefficient row per row of v), or None if any row of v
-    is outside the span.  In reduced form the coefficient of row i is the
-    entry of v at pivot column i.  `reduced`, if given, is rref(m).
-    """
-    m = asbits(m)
-    v = asbits(v)
-    if v.shape[-1:] != (m.shape[1],):
-        raise DimensionError(f"vector length {v.shape} vs {m.shape[1]} columns")
-    r, pivots, ops = reduced or rref(m)
-    coeff = v[..., pivots]
-    if (mat2(coeff, r[: len(pivots)]) ^ v).any():
-        return None
-    return mat2(coeff, ops[: len(pivots)])
-
-
 def span_rows(m: np.ndarray, cap: int | None = None) -> np.ndarray:
     """All vectors in the row span of m (2**rank rows, includes zero).
 

@@ -47,10 +47,6 @@ class PhasedPauli:
         return self.x.shape[0]
 
     @classmethod
-    def identity(cls, n: int) -> "PhasedPauli":
-        return cls(0, np.zeros(n, dtype=np.uint8), np.zeros(n, dtype=np.uint8))
-
-    @classmethod
     def from_string(cls, s: str) -> "PhasedPauli":
         m = _PAULI_RE.match(s.strip())
         if not m:
@@ -81,23 +77,6 @@ class PhasedPauli:
         head = PREFIXES[self.letter_phase].lstrip("+")
         body = "".join("IXZY"[int(a) + 2 * int(b)] for a, b in zip(self.x, self.z))
         return head + body
-
-    def multiply(self, other: "PhasedPauli") -> "PhasedPauli":
-        """Operator product self * other in X-before-Z normal form."""
-        if self.n != other.n:
-            raise LengthMismatchError(f"{self.n} vs {other.n} qubits")
-        reorder = int(np.count_nonzero(self.z & other.x))
-        phase = (self.phase + other.phase + 2 * reorder) % 4
-        return PhasedPauli(phase, self.x ^ other.x, self.z ^ other.z)
-
-    def commutes_with(self, other: "PhasedPauli") -> bool:
-        if self.n != other.n:
-            raise LengthMismatchError(f"{self.n} vs {other.n} qubits")
-        sym = (np.count_nonzero(self.z & other.x) + np.count_nonzero(self.x & other.z)) % 2
-        return sym == 0
-
-    def is_identity(self) -> bool:
-        return self.phase == 0 and not self.x.any() and not self.z.any()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PhasedPauli):
@@ -134,7 +113,7 @@ def row_products(phases, rows, coeffs) -> tuple[np.ndarray, np.ndarray]:
 
     Row i stands for i^phases[i] X(x) Z(z) with rows[i] = (x|z); returns
     (phases, rows) of the products.  Taking row i before row j contributes
-    a sign (-1)^(z_i . x_j), as in PhasedPauli.multiply.
+    a sign (-1)^(z_i . x_j).
     """
     rows = asbits(rows)
     return product_phases(phases, row_order(rows), coeffs), mat2(asbits(coeffs), rows)

@@ -11,10 +11,16 @@ reduction brings the X part to reduced echelon form (r, X pivots); the
 second reduces, on the other columns, the Z part of the rows whose X part
 vanished (s, Z pivots); adding Z-pivot rows into the X-pivot rows clears
 the 0 block.  Every sign comes from one batched signed product of the
-original checks over the combined row operations.  Logical Paulis and
-destabilizers are read off the blocks in the permuted frame, then mapped back
-to original qubit order; every matrix this module hands out is in original
-qubit indices unless it lives inside a StandardForm.
+original checks over the combined row operations.  This is the code's one
+reduction.  tableau() completes G_std in the permuted frame with the blocks
+
+    L_X = [ 0 C2^T I | C1^T 0 0 ],  R = [ 0 0 0 | I 0 0 ] over [ 0 I 0 | 0 0 0 ],
+    L_Z = [ 0 0    0 | A2^T 0 I ],
+
+maps the whole matrix back to original qubit order at once, and keeps the
+StandardForm; the stabilizer rows are then the identity at its pivots.  Every
+matrix this module hands out is in original qubit indices unless it lives
+inside a StandardForm.
 """
 
 from __future__ import annotations
@@ -113,39 +119,17 @@ def standard_form(code: StabilizerCode) -> StandardForm:
     )
 
 
-def logical_paulis(sf: StandardForm) -> tuple[np.ndarray, np.ndarray]:
-    """(L_X, L_Z) rows in original qubit order, k rows each."""
-    n, r, s, k = sf.n, sf.r, sf.s, sf.k
-    a2 = sf.g_std[:r, r + s : n]
-    c1, c2 = sf.g_std[:r, n + r + s :], sf.g_std[r:, n + r + s :]
-    lx = np.zeros((k, 2 * n), dtype=np.uint8)
-    lx[:, r : r + s] = c2.T
-    lx[:, r + s : n] = np.eye(k, dtype=np.uint8)
-    lx[:, n : n + r] = c1.T
-    lz = np.zeros((k, 2 * n), dtype=np.uint8)
-    lz[:, n : n + r] = a2.T
-    lz[:, n + r + s :] = np.eye(k, dtype=np.uint8)
-    return sf.unpermute(lx), sf.unpermute(lz)
-
-
-def destabilizers(sf: StandardForm) -> np.ndarray:
-    """Rows anticommuting pairwise with the standard-form checks, original order."""
-    n, r, s = sf.n, sf.r, sf.s
-    d = np.zeros((r + s, 2 * n), dtype=np.uint8)
-    d[:r, n : n + r] = np.eye(r, dtype=np.uint8)
-    d[r : r + s, r : r + s] = np.eye(s, dtype=np.uint8)
-    return sf.unpermute(d)
-
-
 @dataclass
 class Tableau:
-    """Symplectic 2n x 2n tableau [G; L_X; R; L_Z] with row sign exponents;
-    tableau() certifies ``inverse`` by is_symplectic (tau @ inverse == I)."""
+    """Symplectic 2n x 2n tableau [G; L_X; R; L_Z] with row sign exponents,
+    and the standard_form it was built from; tableau() certifies
+    ``inverse`` by is_symplectic (tau @ inverse == I)."""
 
     n: int
     k: int
     tau: np.ndarray
     phases: np.ndarray  # length 2n, i-exponent of each Hermitian row i^phase X(x) Z(z)
+    standard_form: StandardForm
 
     @property
     def stab_rows(self) -> range:
@@ -179,23 +163,43 @@ class Tableau:
         return row_order(self.tau)
 
     @cached_property
-    def stabilizer_rref(self) -> tuple[np.ndarray, list[int], np.ndarray]:
-        return rref(self.stabilizers)
+    def stabilizer_pivots(self) -> np.ndarray:
+        """The columns where the stabilizer rows are the identity: the
+        standard form's r X pivots, then its s Z pivots."""
+        perm, r, s = self.standard_form.qubit_perm, self.standard_form.r, self.standard_form.s
+        return np.concatenate([perm[:r], self.n + perm[r : r + s]])
 
 
 def tableau(code: StabilizerCode) -> Tableau:
-    """Assemble the symplectic tableau of a code, rows [G; L_X; R; L_Z]."""
+    """The symplectic tableau of a code, rows [G; L_X; R; L_Z].
+
+    In the standard-form frame, with column blocks (r, s, k | r, s, k):
+
+        L_X = [ 0 C2^T I | C1^T 0 0 ]      (k rows)
+        R   = [ 0 0    0 | I    0 0 ]      (r rows)
+              [ 0 I    0 | 0    0 0 ]      (s rows)
+        L_Z = [ 0 0    0 | A2^T 0 I ]      (k rows)
+
+    and one unpermute maps the whole matrix back to original qubit order.
+    """
     sf = standard_form(code)
-    n, k = sf.n, sf.k
-    g = sf.unpermute(sf.g_std)
-    lx, lz = logical_paulis(sf)
-    dst = destabilizers(sf)
-    tau = np.vstack([g, lx, dst, lz])
+    n, r, s, k = sf.n, sf.r, sf.s, sf.k
+    a2, c1, c2 = sf.g_std[:r, r + s : n], sf.g_std[:r, n + r + s :], sf.g_std[r:, n + r + s :]
+    tau = np.block(
+        [
+            [sf.g_std],
+            [np.zeros((k, r)), c2.T, np.eye(k), c1.T, np.zeros((k, s + k))],
+            [np.zeros((r, n)), np.eye(r), np.zeros((r, s + k))],
+            [np.zeros((s, r)), np.eye(s), np.zeros((s, k + n))],
+            [np.zeros((k, n)), a2.T, np.zeros((k, s)), np.eye(k)],
+        ]
+    )
+    tau = sf.unpermute(asbits(tau))
     phases = np.zeros(2 * n, dtype=np.int64)
     phases[: n - k] = sf.phases
     if not is_symplectic(tau):  # pragma: no cover
         raise NotSymplecticError("assembled tableau is not symplectic")
-    return Tableau(n=n, k=k, tau=asbits(tau), phases=phases)
+    return Tableau(n=n, k=k, tau=tau, phases=phases, standard_form=sf)
 
 
 def parse_code_file(text: str) -> StabilizerCode:

@@ -10,8 +10,10 @@ permutation chains; a breadth-first tree on bit matrices that composes
 every element checks the matrix chain's trees, which compose on first
 use; a chain's levels, words included, compare two chains built
 differently; a refinement on dense incidence counts checks the
-search's refinement on adjacency lists; and the form omega, written out
-as a matrix, checks symplecticity without gf2.
+search's refinement on adjacency lists; the form omega, written out
+as a matrix, checks symplecticity without gf2; the product of two Paulis,
+one pair at a time, checks pauli.row_products; and every signed element
+of a stabilizer group, enumerated, checks the stabilizer span test.
 """
 
 from __future__ import annotations
@@ -89,14 +91,15 @@ def _embed(mat: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
 
 
 def dense_pauli(p: PhasedPauli) -> np.ndarray:
-    out = np.eye(2 ** p.n, dtype=complex)
+    """i^phase times the tensor product of X^x Z^z over the qubits, qubit 0 leftmost."""
+    out = np.ones((1, 1), dtype=complex)
     for q in range(p.n):
         local = _I2
         if p.x[q]:
             local = local @ _X
         if p.z[q]:
             local = local @ _Z
-        out = out @ _embed(local, (q,), p.n)
+        out = np.kron(out, local)
     return (1j ** p.phase) * out
 
 
@@ -127,6 +130,54 @@ def dense_conjugate(circ: CliffordCircuit, p: PhasedPauli) -> PhasedPauli:
     out = decode_pauli(u @ dense_pauli(p) @ u.conj().T, p.n)
     assert out is not None, "conjugation result is not a phased Pauli"
     return out
+
+
+def pauli_identity(n: int) -> PhasedPauli:
+    return PhasedPauli(0, np.zeros(n, dtype=np.uint8), np.zeros(n, dtype=np.uint8))
+
+
+def pauli_product(paulis, n: int) -> PhasedPauli:
+    """The operator product p1 * p2 * ... of n-qubit Paulis, one pair at a time.
+
+    Moving the Z part of the product so far past the X part of the next
+    factor gives the sign (-1)^(z . x); the product of none is the identity.
+    """
+    phase, x, z = 0, np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    for p in paulis:
+        assert p.n == n, f"{p.n}-qubit factor in an {n}-qubit product"
+        phase += p.phase + 2 * int(z @ p.x)
+        x, z = x ^ p.x, z ^ p.z
+    return PhasedPauli(phase, x, z)
+
+
+def paulis_commute(p: PhasedPauli, q: PhasedPauli) -> bool:
+    return (int(p.x @ q.z) + int(p.z @ q.x)) % 2 == 0
+
+
+def in_row_span(rows, v) -> bool:
+    """Is v the sum of some subset of the rows?  Tries all 2^len(rows) subsets."""
+    rows, v = np.asarray(rows, dtype=np.int64), np.asarray(v, dtype=np.int64)
+    return any(
+        np.array_equal(np.array(sel, dtype=np.int64) @ rows % 2, v)
+        for sel in itertools.product((0, 1), repeat=len(rows))
+    )
+
+
+def signed_stabilizer_group(checks, n: int) -> set[PhasedPauli]:
+    """Every signed product of the checks: 2^(n-k) elements for consistent signs."""
+    group = {pauli_identity(n)}
+    for c in checks:
+        group |= {pauli_product([g, c], n) for g in group}
+    return group
+
+
+def dense_preserves_stabilizers(circ: CliffordCircuit, checks, n: int) -> bool:
+    """Does conjugation by the circuit's dense unitary map each signed check
+    onto an element of the signed stabilizer group?"""
+    u = dense_circuit(circ)
+    group = [dense_pauli(g) for g in signed_stabilizer_group(checks, n)]
+    images = [u @ dense_pauli(c) @ u.conj().T for c in checks]
+    return all(any(np.allclose(m, g, atol=1e-9) for g in group) for m in images)
 
 
 def dense_perm_symplectic(kind, images) -> np.ndarray:

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from autgates import gf2, stabilizer
 from autgates.circuits import circuit_from_text, pauli_to_gates
 from autgates.cli import main
 from autgates.cliffordmap import verify_preserves_stabilizers
@@ -198,6 +199,21 @@ def test_analyze_text(capsys):
     assert rc == 0
     assert out == ANALYZE_N5
     assert "elapsed:" in err and "ms" in err
+
+
+def test_analyze_reduces_the_code_once(monkeypatch, capsys):
+    # standard_form's two reductions, which the tableau keeps; no other rref
+    calls, original = [], gf2.rref
+
+    def counting_rref(m):
+        calls.append(np.shape(m))
+        return original(m)
+
+    monkeypatch.setattr(gf2, "rref", counting_rref)
+    monkeypatch.setattr(stabilizer, "rref", counting_rref)
+    rc, _, _ = run(capsys, ["analyze", "bb72"])
+    assert rc == 0
+    assert len(calls) == 2
 
 
 def test_analyze_stdout_deterministic(capsys):
@@ -753,10 +769,32 @@ def test_bad_pairs_file_exits_3(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+BOM = "\ufeff".encode()
+
+
+def test_input_files_may_start_with_a_byte_order_mark(tmp_path, capsys):
+    code, circuit = tmp_path / "five.stab", tmp_path / "gamma.txt"
+    code.write_bytes(BOM + b"XZZXI\nIXZZX\nXIXZZ\nZXIXZ\n")
+    circuit.write_bytes(BOM + GAMMA_N5.encode())
+    rc, out, err = run(capsys, ["analyze", str(code)])
+    assert (rc, out) == (0, ANALYZE_N5), err
+    rc, with_bom, err = run(capsys, ["verify", str(code), str(circuit)])
+    assert rc == 0, err
+    circuit.write_text(GAMMA_N5)
+    assert run(capsys, ["verify", "n5k1d3", str(circuit)])[:2] == (0, with_bom)
+    assert "verdict: valid" in with_bom
+
+
 @pytest.mark.parametrize(
     "command, data",
-    [(["analyze"], b"XX\xff\nZZ\n"), (["verify", "n4k2d2"], b"H 0\n\xff\n")],
-    ids=["analyze-code", "verify-circuit"],
+    [
+        (["analyze"], b"XX\xff\nZZ\n"),
+        (["verify", "n4k2d2"], b"H 0\n\xff\n"),
+        # the offset counts the byte-order mark's three bytes
+        (["analyze"], BOM + b"XX\xff\nZZ\n"),
+        (["verify", "n4k2d2"], BOM + b"H 0\n\xff\n"),
+    ],
+    ids=["analyze-code", "verify-circuit", "analyze-code-bom", "verify-circuit-bom"],
 )
 def test_non_utf8_input_file_exits_3(tmp_path, capsys, command, data):
     path = tmp_path / "input.txt"

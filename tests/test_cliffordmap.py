@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from autgates import gf2, stabilizer
 from autgates.binrep import RepKind, RowSource
 from autgates.circuits import (
     GATES,
@@ -28,7 +29,13 @@ from autgates.logsearch import discover_gates
 from autgates.pauli import PhasedPauli
 from autgates.stabilizer import StabilizerCode, standard_form, tableau
 
-from oracles import dense_conjugate, dense_perm_symplectic
+from oracles import (
+    dense_conjugate,
+    dense_perm_symplectic,
+    dense_preserves_stabilizers,
+    pauli_identity,
+    pauli_product,
+)
 
 FIVE_QUBIT = ["XZZXI", "IXZZX", "XIXZZ", "ZXIXZ"]
 FOUR_TWO_TWO = ["XXXX", "ZZZZ"]
@@ -213,7 +220,7 @@ def test_identity_circuit_report():
     t = tableau(StabilizerCode.from_strings(FIVE_QUBIT))
     report = pauli_correct_and_action(t, CliffordCircuit(5))
     assert report.valid
-    assert report.pauli_correction.is_identity()
+    assert report.pauli_correction == pauli_identity(5)
     assert np.array_equal(report.u_act, np.eye(2, dtype=np.uint8))
     assert report.action_word == "I"
     assert verify_preserves_stabilizers(t, CliffordCircuit(5))
@@ -222,7 +229,7 @@ def test_identity_circuit_report():
 def test_stabilizer_element_as_pauli_circuit():
     code = StabilizerCode.from_strings(FIVE_QUBIT)
     t = tableau(code)
-    element = code.checks[0].multiply(code.checks[2])
+    element = pauli_product([code.checks[0], code.checks[2]], 5)
     circ = circuit_from_text(
         "\n".join(
             f"{'IXZY'[int(a) + 2 * int(b)]} {q}"
@@ -244,7 +251,7 @@ def test_stray_x_needs_correction_and_fails_raw_verify():
     assert not verify_preserves_stabilizers(t, circ)
     report = pauli_correct_and_action(t, circ)
     assert report.valid
-    assert not report.pauli_correction.is_identity()
+    assert report.pauli_correction != pauli_identity(5)
     assert np.array_equal(report.u_act, np.eye(2, dtype=np.uint8))
     assert verify_preserves_stabilizers(t, corrected_circuit(report, circ))
 
@@ -353,3 +360,62 @@ def test_action_names():
     cnot = CliffordCircuit(2, (Gate("CNOT", (0, 1)),)).symplectic()
     assert action_name(cnot) == "CNOT 0 1"
     assert action_name(np.eye(8, dtype=np.uint8)) is None  # k = 4 is unnamed
+
+
+def test_verify_preserves_stabilizers_matches_enumeration():
+    # Codes E Z_S E^dag with random signs, one dependent check added;
+    # circuits E^-1 G E, or random ones.  G is random on the unchecked
+    # qubits, which keeps <+-Z_q, q in S>, plus a few gates on the checked
+    # ones: Z, S and CZ keep it, X flips a sign, CNOT may, H leaves the span.
+    rng = np.random.RandomState(606)
+    verdicts = {True: 0, False: 0}
+    for _ in range(60):
+        n = rng.randint(1, 7)
+        enc = random_circuit(rng, n, 3 * n)
+        checked = [int(q) for q in rng.permutation(n)[: rng.randint(n + 1)]]
+        checks = [
+            enc.conjugate(PhasedPauli(2 * rng.randint(2), np.zeros(n), np.eye(n)[q]))
+            for q in checked
+        ]
+        if checks:
+            checks.append(pauli_product([c for c in checks if rng.rand() < 0.5], n))
+        t = tableau(StabilizerCode(checks, n=n))
+        free = [q for q in range(n) if q not in checked]
+        for _ in range(5):
+            inner = [
+                Gate(g.name, tuple(free[q] for q in g.qubits))
+                for g in random_circuit(rng, len(free), 2 * len(free)).gates
+            ] if free else []
+            for _ in range(rng.choice([0, 1, 1, 2])):
+                if len(checked) > 1 and rng.rand() < 0.4:
+                    pair = tuple(int(q) for q in rng.choice(checked, 2, replace=False))
+                    inner.append(Gate(["CZ", "CNOT"][rng.randint(2)], pair))
+                else:
+                    name = ["Z", "S", "SDG", "X", "H"][rng.randint(5)]
+                    inner.append(Gate(name, (int(rng.randint(n)),)))
+            rng.shuffle(inner)
+            circ = enc.inverse() + CliffordCircuit(n, tuple(inner)) + enc
+            if rng.rand() < 0.15:
+                circ = random_circuit(rng, n, 2 * n)
+            got = verify_preserves_stabilizers(t, circ)
+            assert got == dense_preserves_stabilizers(circ, checks, n)
+            verdicts[got] += 1
+    assert min(verdicts.values()) > 60
+
+
+def test_span_test_row_reduces_nothing(monkeypatch):
+    code = load("bb72")
+    t = tableau(code)
+    found = discover_gates(code, RepKind.HSWAP, RowSource.AS_GIVEN)
+    calls, original = [], gf2.rref
+
+    def counting_rref(m):
+        calls.append(np.shape(m))
+        return original(m)
+
+    monkeypatch.setattr(gf2, "rref", counting_rref)
+    monkeypatch.setattr(stabilizer, "rref", counting_rref)
+    gate = found.gates[0]
+    assert verify_preserves_stabilizers(t, corrected_circuit(gate.report, gate.circuit))
+    assert not verify_preserves_stabilizers(t, CliffordCircuit(code.n, (Gate("H", (0,)),)))
+    assert calls == []

@@ -1,4 +1,3 @@
-import itertools
 import random
 
 import numpy as np
@@ -58,29 +57,6 @@ def test_invert_roundtrip():
 def test_invert_rejects_non_square():
     with pytest.raises(DimensionError):
         gf2.invert(np.zeros((2, 3), dtype=np.uint8))
-
-
-def test_solve_in_span_matches_exhaustive_enumeration():
-    rng = random.Random(3)
-    for _ in range(30):
-        rows, cols = rng.randrange(1, 6), rng.randrange(1, 6)
-        m = random_matrix(rng, rows, cols)
-        span = set()
-        for combo in itertools.product([0, 1], repeat=rows):
-            v = gf2.mat2(np.array([combo], dtype=np.uint8), m)[0]
-            span.add(v.tobytes())
-        every = np.array(list(itertools.product([0, 1], repeat=cols)), dtype=np.uint8)
-        for v in every:
-            g = gf2.solve_in_span(m, v)
-            if v.tobytes() in span:
-                assert g is not None
-                assert np.array_equal(gf2.mat2(g[None, :], m)[0], v)
-            else:
-                assert g is None
-        # a stack is solved row by row, and fails if any row is outside
-        inside = np.array([v for v in every if v.tobytes() in span])
-        assert np.array_equal(gf2.mat2(gf2.solve_in_span(m, inside), m), inside)
-        assert (gf2.solve_in_span(m, every) is None) == (len(inside) < len(every))
 
 
 def test_span_rows_counts_and_membership():

@@ -39,7 +39,7 @@ from autgates.logsearch import (
 from autgates.permgroup import MatrixElement, PermElement, StabilizerChain
 from autgates.stabilizer import StabilizerCode
 
-from oracles import chain_levels, matrix_closure
+from oracles import chain_levels, matrix_closure, pauli_identity
 
 FIVE_QUBIT = ["XZZXI", "IXZZX", "XIXZZ", "ZXIXZ"]
 FOUR_QUBIT = ["XXXX", "ZZZZ"]
@@ -155,7 +155,7 @@ def test_synthesize_named_single_qubit_targets(five_qubit_discovery):
         assert verify_preserves_stabilizers(res.tableau, syn.corrected)
         recheck = pauli_correct_and_action(res.tableau, syn.corrected)
         assert recheck.valid
-        assert recheck.pauli_correction.is_identity()
+        assert recheck.pauli_correction == pauli_identity(5)
         assert np.array_equal(recheck.u_act, target)
 
 

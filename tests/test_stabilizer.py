@@ -1,9 +1,11 @@
+import hashlib
 import random
 
 import numpy as np
 import pytest
 
 from autgates.circuits import ONE_QUBIT_GATES, TWO_QUBIT_GATES, CliffordCircuit, Gate
+from autgates.codes import bivariate_bicycle, corpus_names, load
 from autgates.errors import (
     InconsistentSignsError,
     NonCommutingChecksError,
@@ -13,14 +15,12 @@ from autgates.gf2 import mat2, rank, rref
 from autgates.pauli import PhasedPauli
 from autgates.stabilizer import (
     StabilizerCode,
-    destabilizers,
-    logical_paulis,
     parse_code_file,
     standard_form,
     tableau,
 )
 
-from oracles import omega
+from oracles import omega, pauli_product, paulis_commute
 
 FIVE_QUBIT = ["XZZXI", "IXZZX", "XIXZZ", "ZXIXZ"]
 FOUR_TWO_TWO = ["XXXX", "ZZZZ"]
@@ -54,11 +54,12 @@ def test_five_qubit_check_matrix():
 
 
 def test_five_qubit_standard_form_entrywise():
-    sf = standard_form(StabilizerCode.from_strings(FIVE_QUBIT))
+    t = tableau(StabilizerCode.from_strings(FIVE_QUBIT))
+    sf = t.standard_form
     assert (sf.r, sf.s, sf.k) == (4, 0, 1)
     assert np.array_equal(sf.qubit_perm, np.arange(5))
     assert np.array_equal(sf.g_std, FIVE_QUBIT_STD)
-    lx, lz = logical_paulis(sf)
+    lx, lz = t.tau[t.logical_x_rows], t.tau[t.logical_z_rows]
     assert np.array_equal(lx, FIVE_QUBIT_LX)
     assert np.array_equal(lz, FIVE_QUBIT_LZ)
     # the logical X is Z I I Z X, the logical Z is Z Z Z Z Z
@@ -67,8 +68,8 @@ def test_five_qubit_standard_form_entrywise():
 
 
 def test_five_qubit_destabilizers():
-    sf = standard_form(StabilizerCode.from_strings(FIVE_QUBIT))
-    d = destabilizers(sf)
+    t = tableau(StabilizerCode.from_strings(FIVE_QUBIT))
+    d = t.tau[t.destabilizer_rows]
     want = np.zeros((4, 10), dtype=np.uint8)
     want[:, 5:9] = np.eye(4, dtype=np.uint8)
     assert np.array_equal(d, want)
@@ -76,7 +77,7 @@ def test_five_qubit_destabilizers():
 
 def test_standard_form_rowspan_invariant_under_overcompletion():
     code = StabilizerCode.from_strings(FIVE_QUBIT)
-    extra = code.checks[0].multiply(code.checks[2])
+    extra = pauli_product([code.checks[0], code.checks[2]], 5)
     over = StabilizerCode(code.checks + [extra, code.checks[1]])
     a = standard_form(code)
     b = standard_form(over)
@@ -115,16 +116,17 @@ def test_tableau_no_checks():
 
 def test_four_two_two_logicals():
     code = StabilizerCode.from_strings(FOUR_TWO_TWO)
-    sf = standard_form(code)
+    t = tableau(code)
+    sf = t.standard_form
     assert (sf.r, sf.s, sf.k) == (1, 1, 2)
-    lx, lz = logical_paulis(sf)
+    lx, lz = t.tau[t.logical_x_rows], t.tau[t.logical_z_rows]
     assert [PhasedPauli.from_vector(v).to_string() for v in lz] == ["ZIZI", "ZIIZ"]
     # logical X rows are stabilizer-equivalent to X I I X and X I X I
     xxxx = code.checks[0]
     got = [PhasedPauli.from_vector(v) for v in lx]
-    assert got[0].multiply(xxxx).to_string() in ("XIIX", "IXXI")
+    assert pauli_product([got[0], xxxx], 4).to_string() in ("XIIX", "IXXI")
     for a, b in zip(got, [PhasedPauli.from_vector(v) for v in lz]):
-        assert not a.commutes_with(b)
+        assert not paulis_commute(a, b)
 
 
 def test_signed_checks_carry_into_tableau_phases():
@@ -204,10 +206,7 @@ def random_signed_code(rng, n):
     z = [PhasedPauli(2 * rng.randrange(2), [0] * n, np.eye(n)[i]) for i in range(n)]
     checks = [circ.conjugate(p) for p in z[: rng.randrange(n + 1)]]
     for _ in range(rng.randrange(4) if checks else 0):
-        prod = PhasedPauli.identity(n)
-        for p in rng.sample(checks, rng.randrange(1, len(checks) + 1)):
-            prod = prod.multiply(p)
-        checks.append(prod)
+        checks.append(pauli_product(rng.sample(checks, rng.randrange(1, len(checks) + 1)), n))
     rng.shuffle(checks)
     return checks
 
@@ -235,13 +234,49 @@ def test_standard_form_of_random_signed_codes():
         rows = [PhasedPauli.from_vector(v, ph) for v, ph in zip(sf.unpermute(sf.g_std), sf.phases)]
         for c in checks:
             x, z = c.x[sf.qubit_perm], c.z[sf.qubit_perm]
-            prod = PhasedPauli.identity(n)
-            for row, bit in zip(rows, np.concatenate([x[:r], z[r : r + s]])):
-                if bit:
-                    prod = prod.multiply(row)
-            assert prod == c
+            bits = np.concatenate([x[:r], z[r : r + s]])
+            assert pauli_product([row for row, bit in zip(rows, bits) if bit], n) == c
         if checks:
             flipped = checks + [PhasedPauli(checks[0].phase + 2, checks[0].x, checks[0].z)]
             with pytest.raises(InconsistentSignsError):
                 standard_form(StabilizerCode(flipped, n=n))
     assert seen_s > 20
+
+
+def test_tableau_keeps_its_standard_form_with_identity_at_the_pivots():
+    rng = random.Random(77)
+    shapes = set()
+    for _ in range(120):
+        n = rng.randrange(1, 9)
+        t = tableau(StabilizerCode(random_signed_code(rng, n), n=n))
+        sf = t.standard_form
+        shapes |= {"s > 0"} if sf.s else set()
+        shapes |= {"k = 0"} if t.k == 0 else {"k = n"} if t.k == n else set()
+        assert (sf.n, sf.k) == (t.n, t.k)
+        assert np.array_equal(t.stabilizers[:, t.stabilizer_pivots], np.eye(n - t.k))
+        assert np.array_equal(sf.unpermute(sf.g_std), t.stabilizers)
+        assert np.array_equal(t.phases[t.stab_rows], sf.phases)
+    assert shapes == {"s > 0", "k = 0", "k = n"}
+
+
+STEANE = ["IIIXXXX", "IXXIIXX", "XIXIXIX", "IIIZZZZ", "IZZIIZZ", "ZIZIZIZ"]
+# tau, phases and k of every tableau below, before the tableau was built
+# by one block formula from its standard form
+TABLEAU_SHA256 = "e87efaf6424da0b014d6333769cc2a15052c506e3073541a9fb6ad4a0e1318f7"
+
+
+def test_tableaus_are_pinned():
+    codes = [load(name) for name in corpus_names()]
+    codes.append(bivariate_bicycle(12, 6, [(3, 0), (0, 1), (0, 2)], [(0, 3), (1, 0), (2, 0)]))
+    codes += [StabilizerCode.from_strings(STEANE), StabilizerCode([], n=3)]
+    rng = random.Random(2027)
+    for _ in range(150):
+        n = rng.randrange(1, 9)
+        codes.append(StabilizerCode(random_signed_code(rng, n), n=n))
+    digest = hashlib.sha256()
+    for code in codes:
+        t = tableau(code)
+        digest.update(t.tau.tobytes())
+        digest.update(np.asarray(t.phases, np.int64).tobytes())
+        digest.update(b"k=%d;" % t.k)
+    assert digest.hexdigest() == TABLEAU_SHA256
