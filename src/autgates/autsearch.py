@@ -1,8 +1,9 @@
 """Column automorphisms of binary matrices with colored rows.
 
-Finds the group of column permutations that map the row multiset of a
+Finds the group of column permutations that map the row set of a
 binary matrix onto itself, where rows may only be matched to rows of the
-same color.  Uses individualization-refinement backtracking: columns are
+same color; a repeated row counts once, so the search drops it on entry.
+Uses individualization-refinement backtracking: columns are
 partitioned by an equitable refinement driven by row/column incidence
 counts, the first depth-first descent fixes a base path, and later
 branches are pruned by refinement traces, discovered-automorphism orbits
@@ -92,19 +93,17 @@ class _Search:
         if row_colors.shape != (matrix.shape[0],):
             raise ValueError("row_colors must have one entry per row")
 
-        # rows and columns as padded adjacency lists; dedupe rows, keeping
-        # color and multiplicity
+        # rows and columns as padded adjacency lists, each (color, row) once
         r, c = np.nonzero(matrix)
         radj = _padded_lists(r, c, matrix.shape[0], self.n_cols)
-        uniq, counts = unique_rows(np.column_stack([row_colors, radj]), return_counts=True)
+        uniq = unique_rows(np.column_stack([row_colors, radj]))[0]
         self.colors = uniq[:, 0]
         self.radj = uniq[:, 1:]
-        self.mult = counts.astype(np.int64)
         r, k = np.nonzero(self.radj < self.n_cols)
         c = self.radj[r, k]
         order = np.argsort(c, kind="stable")
         self.cadj = _padded_lists(c[order], r[order], self.n_cols, len(self.radj))
-        self.row_multiset = self._row_keys(self.radj)
+        self.row_set = self._row_keys(self.radj)
 
         self.max_nodes = max_nodes
         self.deadline = deadline
@@ -119,8 +118,8 @@ class _Search:
         self._jump = None
 
     def _row_keys(self, lists):
-        """Sorted (color, multiplicity, list) keys of the rows, lists[t] standing for row t."""
-        return unique_rows(np.column_stack([self.colors, self.mult, lists]))[0]
+        """Sorted (color, list) keys of the rows, lists[t] standing for row t."""
+        return unique_rows(np.column_stack([self.colors, lists]))[0]
 
     def _tick(self):
         self.nodes += 1
@@ -148,9 +147,9 @@ class _Search:
         trace = []
         num_cells = int(cell_id.max()) + 1 if n else 0
         while True:
-            # group rows by color, multiplicity and sorted cells of their columns
+            # group rows by color and sorted cells of their columns
             cells = np.sort(np.append(cell_id, num_cells)[self.radj], axis=1)
-            row_meta = np.column_stack([self.colors, self.mult, -cells])
+            row_meta = np.column_stack([self.colors, -cells])
             row_keys, row_group = unique_rows(row_meta, return_inverse=True)
             # column signatures: sorted row groups of their rows, within each cell
             groups = np.sort(np.append(row_group, row_keys.shape[0])[self.cadj], axis=1)
@@ -198,10 +197,10 @@ class _Search:
         return np.flatnonzero(cell_id == best).tolist()
 
     def _check_automorphism(self, images):
-        """Row multiset must be preserved color-by-color."""
+        """Row set must be preserved color-by-color."""
         images = np.append(np.asarray(images, dtype=np.int64), self.n_cols)
         mapped = np.sort(images[self.radj], axis=1)
-        return np.array_equal(self._row_keys(mapped), self.row_multiset)
+        return np.array_equal(self._row_keys(mapped), self.row_set)
 
     def _explore(self, cell_id, depth, on_base, div_depth):
         self._tick()
@@ -270,9 +269,9 @@ def matrix_automorphisms(matrix, row_colors=None, max_nodes=None, deadline=None)
 
     Returns an AutSearchResult whose group contains exactly the column
     permutations g with  {rows of M} = {rows of M with columns permuted
-    by g}  as multisets within each row color class.  max_nodes bounds
-    the number of search tree nodes and deadline is a time.monotonic()
-    cutoff; exceeding either yields the subgroup found so far with
-    complete=False.
+    by g}  as row sets within each row color class (a repeated row counts
+    once).  max_nodes bounds the number of search tree nodes and deadline
+    is a time.monotonic() cutoff; exceeding either yields the subgroup
+    found so far with complete=False.
     """
     return _Search(matrix, row_colors, max_nodes, deadline).run()

@@ -13,11 +13,12 @@ its one-qubit mixer E_1: a qubit holding (x, z) gets block b equal to
   THREEBLOCK  [G_X | G_Z | G_X+G_Z]    E_1 = [[1,0,1],[0,1,1],[1,1,1]]
                                                 all single-qubit Cliffords + SWAP
 
-build(code, kind) returns G_E.  The constrained shape is enforced
-structurally: row_augmented_matrix(code, kind, rows) stacks the G_E rows
-(as given, or all codewords) on the rows of B = [I|I] (or [I|I|I]), built
-there in a second row color, so the search keeps only permutations that
-also preserve B's row set.
+build(check_matrix, kind) returns G_E, reading n off the width 2n.  The
+constrained shape is enforced structurally: row_augmented_matrix(
+check_matrix, kind, rows) stacks the G_E rows (as given, repeats included,
+or all codewords) on the rows of B = [I|I] (or [I|I|I]), built there in a
+second row color, so the search keeps only permutations that also preserve
+B's row set; it takes each color's rows as a set.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import numpy as np
 
 from .errors import DimensionError, TooManyCodewordsError
 from .gf2 import asbits, span_rows
-from .stabilizer import StabilizerCode
 
 CODEWORD_CAP = 2**16
 
@@ -63,15 +63,15 @@ def block_mixer(kind: RepKind, n: int) -> np.ndarray:
     return np.kron(np.array(_MIXERS[kind], dtype=np.uint8), np.eye(n, dtype=np.uint8))
 
 
-def build(code: StabilizerCode, kind: RepKind) -> np.ndarray:
-    """G_E: the checks in block form, len(checks) x (blocks*n)."""
-    m, n = code.check_matrix, code.n
+def build(check_matrix: np.ndarray, kind: RepKind) -> np.ndarray:
+    """G_E: the (x|z) check rows in block form, len(rows) x (blocks*n)."""
+    m, n = check_matrix, check_matrix.shape[1] // 2
     ex, ez = _MIXERS[kind][:2]
     return asbits(np.hstack([m[:, :n] * a ^ m[:, n:] * b for a, b in zip(ex, ez)]))
 
 
 def row_augmented_matrix(
-    code: StabilizerCode,
+    check_matrix: np.ndarray,
     kind: RepKind,
     rows: RowSource = RowSource.AS_GIVEN,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -81,17 +81,13 @@ def row_augmented_matrix(
     row i of B being e_i repeated in every block, so the search returns
     exactly the column permutations preserving both row sets.
     """
-    g_e = build(code, kind)
-    if rows is RowSource.AS_GIVEN:
-        # a repeated check is the same stabilizer, but the search would
-        # match it as a second row; keep first occurrences, in order
-        _, first = np.unique(g_e, axis=0, return_index=True)
-        g = g_e[np.sort(first)]
-    else:
+    n = check_matrix.shape[1] // 2
+    g = build(check_matrix, kind)
+    if rows is RowSource.ALL_CODEWORDS:
         try:
-            g = span_rows(g_e, cap=CODEWORD_CAP)
+            g = span_rows(g, cap=CODEWORD_CAP)
         except DimensionError as exc:
             raise TooManyCodewordsError(str(exc)) from None
-    b = np.hstack([np.eye(code.n, dtype=np.uint8)] * kind.blocks)
-    colors = np.array([0] * g.shape[0] + [1] * code.n, dtype=np.int64)
+    b = np.hstack([np.eye(n, dtype=np.uint8)] * kind.blocks)
+    colors = np.array([0] * g.shape[0] + [1] * n, dtype=np.int64)
     return asbits(np.vstack([g, b])), colors

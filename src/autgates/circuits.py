@@ -190,12 +190,10 @@ def circuit_from_text(text: str, n: int | None = None) -> CliffordCircuit:
         name = parts[0].upper()
         if name not in GATES:
             raise ParseError(f"line {lineno}: unknown gate {parts[0]!r}")
-        try:
-            qubits = tuple(int(tok) for tok in parts[1:])
-        except ValueError:
-            raise ParseError(f"line {lineno}: bad qubit index in {raw!r}") from None
-        if any(q < 0 for q in qubits):
-            raise ParseError(f"line {lineno}: negative qubit index in {raw!r}")
+        # decimal digits only, as in pairs files: int() also takes "+1" and "1_0"
+        if not all(tok.isdecimal() for tok in parts[1:]):
+            raise ParseError(f"line {lineno}: bad qubit index in {raw!r}")
+        qubits = tuple(int(tok) for tok in parts[1:])
         try:  # the arity and range rules, named by line
             gates.append(Gate(name, qubits))
             if n is not None:

@@ -261,6 +261,7 @@ def cmd_find_gate(args) -> tuple[int, str]:
                 if args.max_2q is not None and gate.circuit.two_qubit_count() > args.max_2q:
                     continue
                 group.add(gate.report.u_act, gate.circuit)
+            del emb_disc  # free this basis's search before the next one's
     try:
         result = synthesize(group, target, t)
     except NotRealizableError:

@@ -24,6 +24,11 @@ one Z (X) on each auxiliary go through it in one batch, so lifted checks
 keep their signs and parity checks are +.  The circuit is its own
 inverse: its CNOTs commute, since none targets a qubit another controls.
 
+The lifted rows need no commutation check: they commute before the lift
+(each parity Pauli sits where the padded checks act as the identity), the
+lift is a Clifford, and CNOT adds no phase, so EmbeddedCode keeps them as
+the lift returns them, with no second StabilizerCode.
+
 Automorphism discovery runs on the embedded code; interpretation maps
 each embedded circuit back to the original qubits and is then checked
 semantically: the interpreted circuit must move every lifted stabilizer
@@ -48,7 +53,7 @@ from .errors import (
 )
 from .gf2 import mat2
 from .logsearch import DiscoveredGate
-from .pauli import PhasedPauli, row_products
+from .pauli import row_products
 from .stabilizer import StabilizerCode, Tableau, tableau
 
 
@@ -99,16 +104,20 @@ def parse_pairs_file(text: str, n: int) -> EmbeddingSpec:
 
 @dataclass
 class EmbeddedCode:
-    """An enlarged code with one parity auxiliary per pair.
+    """An enlarged code with one parity auxiliary per pair, as its rows.
 
-    lift, the embedding circuit that made code from base, has for pair
-    (a, b) the CNOTs a->aux, b->aux, or aux->a, aux->b for an X-type aux.
+    lift, the embedding circuit, has for pair (a, b) the CNOTs a->aux,
+    b->aux, or aux->a, aux->b for an X-type aux.  phases and check_matrix
+    are its images of base's padded checks, then of the parity Paulis:
+    Clifford images of commuting Hermitian rows under CNOTs, which add no
+    phase, so they need no check of their own.
     """
 
     base: StabilizerCode
     spec: EmbeddingSpec
     basis: str  # "z": Z-type auxiliaries (S/CZ); "x": X-type (SQRTX/CXX)
-    code: StabilizerCode
+    phases: np.ndarray  # i-exponent of each row i^phase X(x) Z(z)
+    check_matrix: np.ndarray  # (x|z) rows on n + m qubits
     lift: CliffordCircuit
 
     @property
@@ -141,12 +150,8 @@ def embed(code: StabilizerCode, spec: EmbeddingSpec, basis: str = "z") -> Embedd
     lift = CliffordCircuit(n + m, tuple(gates))
     parity = np.eye(m, 2 * (n + m), n + (n + m if basis == "z" else 0), dtype=np.uint8)
     rows = np.vstack([_pad(code.check_matrix, n, m), parity])
-    phases = [c.phase for c in code.checks] + [0] * m
-    phases, rows = lift.propagate(phases, rows)
-    enlarged = StabilizerCode(
-        [PhasedPauli.from_vector(row, ph) for ph, row in zip(phases, rows)], n=n + m
-    )
-    return EmbeddedCode(base=code, spec=spec, basis=basis, code=enlarged, lift=lift)
+    phases, rows = lift.propagate([c.phase for c in code.checks] + [0] * m, rows)
+    return EmbeddedCode(code, spec, basis, phases, rows, lift)
 
 
 def _fixes(name: str, pauli: str) -> bool:
@@ -316,7 +321,7 @@ def discover_embedded_gates(
     """
     basis = "x" if kind is RepKind.SQRTXSWAP else "z"
     emb = embed(code, spec, basis=basis)
-    mat, colors = row_augmented_matrix(emb.code, kind)
+    mat, colors = row_augmented_matrix(emb.check_matrix, kind)
     search = matrix_automorphisms(mat, colors, deadline=deadline)
     t = tableau(code)
     candidates = list(search.generators)

@@ -196,7 +196,7 @@ def discover_gates(
     the correction pass; an invalid report here would mean the search
     or the lifting is broken, so it raises instead of skipping.
     """
-    mat, colors = row_augmented_matrix(code, kind, rows)
+    mat, colors = row_augmented_matrix(code.check_matrix, kind, rows)
     search = matrix_automorphisms(mat, colors, deadline=deadline)
     t = tableau(code)
     group = LogicalActionGroup(t.k)

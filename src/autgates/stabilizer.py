@@ -211,10 +211,9 @@ def parse_code_file(text: str) -> StabilizerCode:
         if not line:
             continue
         if n is None and not strings and line.lower().startswith("n="):  # the first line
-            try:
-                n = int(line[2:])
-            except ValueError:
-                raise ParseError(f"line {lineno}: bad qubit count {line!r}") from None
+            if not line[2:].strip().isdecimal():  # int() also takes "+3" and "1_2"
+                raise ParseError(f"line {lineno}: bad qubit count {line!r}")
+            n = int(line[2:])
             if n <= 0:
                 raise ParseError(f"line {lineno}: qubit count must be positive")
             continue

@@ -203,13 +203,13 @@ def block_automorphisms(rows, n: int, blocks: int) -> set[tuple[int, ...]]:
     is block ``b`` of qubit ``q``.  Returns the image tuple of every column
     permutation that preserves the constraint rows ``[I|...|I]`` -- that is,
     moves the block columns of each qubit q onto those of one qubit pi(q) --
-    and maps the multiset of ``rows`` to itself.
+    and maps the set of ``rows`` to itself; a repeated row counts once.
 
     Enumerates the row bijection sigma and the qubit permutation pi; given
     both, each qubit's local block permutation is fixed independently.  The
     cost is m! * n! for m rows, so this suits a handful of rows only.
     """
-    rows = [tuple(int(v) for v in r) for r in np.asarray(rows)]
+    rows = list(dict.fromkeys(tuple(int(v) for v in r) for r in np.asarray(rows)))
     local_perms = list(itertools.permutations(range(blocks)))
 
     def columns(rs):
@@ -298,16 +298,18 @@ def dense_logical_action_holds(circ: CliffordCircuit, checks, logicals, u_act) -
     return True
 
 
-def dense_refine(rows, colors, mult, cell_id):
+def dense_refine(matrix, colors, cell_id):
     """Equitable refinement of a column partition from dense incidence counts.
 
-    rows are the distinct rows of a 0/1 matrix, with their colors and
-    multiplicities.  Each step groups the rows by color, multiplicity and
-    1-count in every cell, then splits each cell by its columns' 1-counts
-    in every row group; it stops when no cell splits.  Returns the final
-    cell_id, the number of cells, and per step the row and column keys.
+    The rows of the 0/1 matrix, with their colors, are taken as a set: a
+    repeated (color, row) counts once.  Each step groups the rows by color
+    and 1-count in every cell, then splits each cell by its columns'
+    1-counts in every row group; it stops when no cell splits.  Returns the
+    final cell_id, the number of cells, and per step the row and column keys.
     """
-    rows = np.asarray(rows, dtype=np.int64)
+    matrix = np.asarray(matrix, dtype=np.int64)
+    keys = np.unique(np.column_stack([np.asarray(colors, dtype=np.int64), matrix]), axis=0)
+    colors, rows = keys[:, 0], keys[:, 1:]
     n = rows.shape[1]
     cell_id = np.asarray(cell_id, dtype=np.int64)
     trace = []
@@ -315,7 +317,7 @@ def dense_refine(rows, colors, mult, cell_id):
     while True:
         cnt = rows @ np.eye(num_cells, dtype=np.int64)[cell_id]
         row_keys, row_group = np.unique(
-            np.column_stack([colors, mult, cnt]), axis=0, return_inverse=True
+            np.column_stack([colors, cnt]), axis=0, return_inverse=True
         )
         gind = np.eye(row_keys.shape[0], dtype=np.int64)[row_group.ravel()]
         col_keys, new_cell_id = np.unique(

@@ -67,8 +67,8 @@ def threeblock_group(strings, n=None):
         code = StabilizerCode.from_strings(strings, n=n)
     else:
         code = StabilizerCode([], n=n)
-    mat, colors = row_augmented_matrix(code, RepKind.THREEBLOCK, RowSource.AS_GIVEN)
-    return matrix_automorphisms(mat, colors).group, build(code, RepKind.THREEBLOCK)
+    mat, colors = row_augmented_matrix(code.check_matrix, RepKind.THREEBLOCK, RowSource.AS_GIVEN)
+    return matrix_automorphisms(mat, colors).group, build(code.check_matrix, RepKind.THREEBLOCK)
 
 
 def threeblock_order(strings, n=None):
@@ -119,7 +119,7 @@ def test_03_five_qubit_matrix_automorphism_orders():
     group_std, rows_std = threeblock_group(gens)
     cyclic = ["XZZXI", "IXZZX", "XIXZZ", "ZXIXZ", "ZZXIX"]
     group_cyclic, rows_cyclic = threeblock_group(cyclic)
-    mat, colors = row_augmented_matrix(code, RepKind.THREEBLOCK, RowSource.ALL_CODEWORDS)
+    mat, colors = row_augmented_matrix(code.check_matrix, RepKind.THREEBLOCK, RowSource.ALL_CODEWORDS)
     order_all = matrix_automorphisms(mat, colors).group.order()
     assert time.perf_counter() - start < 30.0
     assert (group_std.order(), group_cyclic.order(), order_all) == (4, 20, 360)

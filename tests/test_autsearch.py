@@ -15,32 +15,37 @@ from autgates.stabilizer import StabilizerCode
 
 from oracles import SchreierSims, base_points, dense_refine
 
-FIVE_QUBIT = StabilizerCode.from_strings(["XZZXI", "IXZZX", "XIXZZ", "ZXIXZ"])
+# the check matrices of three small codes
+FIVE_QUBIT = StabilizerCode.from_strings(["XZZXI", "IXZZX", "XIXZZ", "ZXIXZ"]).check_matrix
 FIVE_QUBIT_CYCLIC = StabilizerCode.from_strings(
     ["XZZXI", "IXZZX", "XIXZZ", "ZXIXZ", "ZZXIX"]
-)
+).check_matrix
 STEANE = StabilizerCode.from_strings(
     ["IIIXXXX", "IXXIIXX", "XIXIXIX", "IIIZZZZ", "IZZIIZZ", "ZIZIZIZ"]
-)
+).check_matrix
+
+
+def row_set(matrix, colors, images=None):
+    """The set of (color, row) pairs, column j of each row moved to images[j]."""
+    matrix = np.asarray(matrix)
+    n = matrix.shape[1]
+    images = range(n) if images is None else images
+    out = set()
+    for c, row in zip(colors, matrix):
+        w = [0] * n
+        for j in range(n):
+            w[images[j]] = int(row[j])
+        out.add((int(c), tuple(w)))
+    return out
 
 
 def brute_force_automorphisms(matrix, colors):
-    matrix = np.asarray(matrix)
-    n = matrix.shape[1]
-    base = sorted(
-        (int(c), tuple(int(v) for v in row)) for c, row in zip(colors, matrix)
-    )
-    auts = []
-    for perm in permutations(range(n)):
-        rows = []
-        for c, row in zip(colors, matrix):
-            w = [0] * n
-            for j in range(n):
-                w[perm[j]] = int(row[j])
-            rows.append((int(c), tuple(w)))
-        if sorted(rows) == base:
-            auts.append(perm)
-    return auts
+    """Every column permutation that maps the row set onto itself."""
+    base = row_set(matrix, colors)
+    return [
+        perm for perm in permutations(range(np.shape(matrix)[1]))
+        if row_set(matrix, colors, perm) == base
+    ]
 
 
 def identity_stack(n, blocks):
@@ -92,17 +97,8 @@ def test_five_qubit_threeblock_orders():
 def test_generators_preserve_rows():
     mat, colors = row_augmented_matrix(FIVE_QUBIT, RepKind.HSWAP, RowSource.ALL_CODEWORDS)
     res = matrix_automorphisms(mat, colors)
-    base = sorted(
-        (int(c), tuple(int(v) for v in row)) for c, row in zip(colors, mat)
-    )
     for images in res.generators:
-        rows = []
-        for c, row in zip(colors, mat):
-            w = [0] * mat.shape[1]
-            for j in range(mat.shape[1]):
-                w[images[j]] = int(row[j])
-            rows.append((int(c), tuple(w)))
-        assert sorted(rows) == base
+        assert row_set(mat, colors, images) == row_set(mat, colors)
 
 
 def test_matches_brute_force_on_random_matrices():
@@ -112,12 +108,31 @@ def test_matches_brute_force_on_random_matrices():
         m = int(rng.integers(1, 6))
         mat = rng.integers(0, 2, size=(m, n)).astype(np.uint8)
         colors = rng.integers(0, 2, size=m)
+        if trial % 3 == 0:  # repeated rows
+            picks = rng.integers(0, m, size=m + 2)
+            mat, colors = mat[picks], colors[picks]
         ref = brute_force_automorphisms(mat, colors)
         res = matrix_automorphisms(mat, colors)
         assert res.complete
         assert res.group.order() == len(ref)
         for perm in ref:
             assert res.group.contains(perm)
+
+
+def test_repeated_rows_count_once():
+    # a = 1100 twice and b = 0011: as a set {a, b}, whose group also swaps
+    # a with b (order 8); as a multiset, a would have to stay put (order 4)
+    a, b = [1, 1, 0, 0], [0, 0, 1, 1]
+    twice = matrix_automorphisms(np.array([a, a, b], np.uint8))
+    once = matrix_automorphisms(np.array([a, b], np.uint8))
+    assert twice.complete and once.complete
+    assert twice.group.order() == once.group.order() == 8
+    assert all(once.group.contains(g) for g in twice.generators)
+    assert all(twice.group.contains(g) for g in once.generators)
+    assert twice.group.contains((2, 3, 0, 1))
+    # a row repeated in another color is another row
+    res = matrix_automorphisms(np.array([a, a, b], np.uint8), [0, 1, 0])
+    assert res.group.order() == 4 and not res.group.contains((2, 3, 0, 1))
 
 
 def test_row_colors_restrict_matches():
@@ -201,10 +216,7 @@ def test_refine_matches_dense_oracle():
     cases += [relabeled(rng, case) for case in cases]
     sparse, dense = [], []
     for m, colors, cell_id in cases:
-        keys, mult = np.unique(
-            np.column_stack([colors, m]).astype(np.int64), axis=0, return_counts=True
-        )
-        want = dense_refine(keys[:, 1:], keys[:, 0], mult, cell_id)
+        want = dense_refine(m, colors, cell_id)
         got = _Search(m, colors, None, None)._refine(np.asarray(cell_id, dtype=np.int64))
         assert np.array_equal(got[0], want[0]) and got[1] == want[1]
         sparse.append(got[2])
@@ -272,11 +284,11 @@ def assert_group_is_bsgs(res, rng, samples=20):
 
 @pytest.mark.parametrize("code", ["n4k2d2", "n5k1d3", "steane"])
 def test_search_group_is_bsgs_small_codes(code):
-    code = STEANE if code == "steane" else load(code)
+    rows = STEANE if code == "steane" else load(code).check_matrix
     rng = np.random.default_rng(5)
     for kind in RepKind:
         for source in RowSource:
-            res = matrix_automorphisms(*row_augmented_matrix(code, kind, source))
+            res = matrix_automorphisms(*row_augmented_matrix(rows, kind, source))
             assert res.complete
             assert_group_is_bsgs(res, rng)
 
@@ -289,7 +301,7 @@ def test_search_group_is_bsgs_large_codes(name):
         code = bivariate_bicycle(12, 6, [(3, 0), (0, 1), (0, 2)], [(0, 3), (1, 0), (2, 0)])
     rng = np.random.default_rng(7)
     for kind in (RepKind.HSWAP, RepKind.THREEBLOCK):
-        res = matrix_automorphisms(*row_augmented_matrix(code, kind, RowSource.AS_GIVEN))
+        res = matrix_automorphisms(*row_augmented_matrix(code.check_matrix, kind))
         assert res.complete and res.group.order() > 1
         assert_group_is_bsgs(res, rng, samples=5)
 

@@ -83,9 +83,10 @@ def test_tracer_reads_the_discovery_path():
     counts = tracer.counts
     # each search matrix is one row_augmented_matrix span with build nested in it
     assert counts["binrep.calls"] == 4
-    emb_code = embed(code, all_pairs(code.n)).code
+    emb_rows = embed(code, all_pairs(code.n)).check_matrix
     cells = sum(
-        row_augmented_matrix(c, RepKind.SSWAP)[0].size for c in (code, emb_code)
+        row_augmented_matrix(rows, RepKind.SSWAP)[0].size
+        for rows in (code.check_matrix, emb_rows)
     )
     assert counts["binrep.matrix_cells"] == cells
     assert counts["cliffordmap.lift_gates"] > 0

@@ -15,7 +15,7 @@ from autgates.errors import TooManyCodewordsError
 from autgates.gf2 import invert, mat2
 from autgates.stabilizer import StabilizerCode
 
-FIVE_QUBIT = StabilizerCode.from_strings(["XZZXI", "IXZZX", "XIXZZ", "ZXIXZ"])
+FIVE_QUBIT = StabilizerCode.from_strings(["XZZXI", "IXZZX", "XIXZZ", "ZXIXZ"]).check_matrix
 
 GX = np.array([
     [1, 0, 0, 1, 0],
@@ -50,7 +50,7 @@ def test_mixer_reproduces_tables():
     n = 5
     pad = np.zeros((4, n), dtype=np.uint8)
     for kind in RepKind:
-        base = FIVE_QUBIT.check_matrix
+        base = FIVE_QUBIT
         if kind.blocks == 3:
             base = np.hstack([base, pad])
         assert np.array_equal(build(FIVE_QUBIT, kind), mat2(base, block_mixer(kind, n)))
@@ -95,16 +95,17 @@ def test_row_sources():
     assert tuple(int(v) for v in g_e[0]) in seen
 
 
-def test_given_rows_drop_repeated_checks():
-    # a repeated check is the same stabilizer: first occurrences, in order
-    code = StabilizerCode.from_strings(["XXII", "XXXX", "XXII", "ZZZZ", "XXXX"])
-    mat, colors = row_augmented_matrix(code, RepKind.THREEBLOCK, RowSource.AS_GIVEN)
-    assert np.array_equal(mat[:3], build(code, RepKind.THREEBLOCK)[[0, 1, 3]])
-    assert list(colors) == [0] * 3 + [1] * 4
+def test_given_rows_go_to_the_search_as_built():
+    # a repeated check stays: the search takes each color's rows as a set
+    rows = StabilizerCode.from_strings(["XXII", "XXXX", "XXII", "ZZZZ", "XXXX"]).check_matrix
+    mat, colors = row_augmented_matrix(rows, RepKind.THREEBLOCK, RowSource.AS_GIVEN)
+    assert np.array_equal(mat[:5], build(rows, RepKind.THREEBLOCK))
+    assert list(colors) == [0] * 5 + [1] * 4
 
 
 def repetition_code(n):
-    return StabilizerCode.from_strings(["I" * i + "ZZ" + "I" * (n - 2 - i) for i in range(n - 1)])
+    checks = ["I" * i + "ZZ" + "I" * (n - 2 - i) for i in range(n - 1)]
+    return StabilizerCode.from_strings(checks).check_matrix
 
 
 def test_codeword_cap():

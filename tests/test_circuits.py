@@ -152,6 +152,9 @@ def test_text_roundtrip_and_errors():
         circuit_from_text("SWAP 1 1")
     with pytest.raises(ParseError):
         circuit_from_text("H 9", n=3)
+    for bad in ["H 1_0", "CNOT +1 0", "H -1", "H \u00b2"]:
+        with pytest.raises(ParseError, match="^line 1: bad qubit index"):
+            circuit_from_text(bad)
 
 
 def test_two_qubit_count_ignores_swaps():

@@ -19,6 +19,7 @@ from autgates import gf2, stabilizer
 from autgates.circuits import circuit_from_text, pauli_to_gates
 from autgates.cli import main
 from autgates.cliffordmap import verify_preserves_stabilizers
+from autgates.codes import load
 from autgates.logsearch import LogicalActionGroup
 from autgates.pauli import PhasedPauli
 from autgates.stabilizer import parse_code_file, tableau
@@ -632,18 +633,31 @@ def test_help_exits_0(capsys):
 
 @pytest.mark.parametrize("rep", ["hswap", "sswap", "sqrtxswap", "threeblock"])
 def test_repeated_check_keeps_the_group(tmp_path, capsys, rep):
+    # the search takes each color's rows as a set: a check given twice
+    # changes the gates report only in its check count
+    for name in ("n4k2d2", "n5k1d3"):
+        checks = [c.to_string() for c in load(name).checks]
+        path = tmp_path / (name + ".stab")
+        path.write_text("\n".join(checks[:1] + checks) + "\n")
+        m = len(checks)
+        argv = ["--rep", rep, "--rows", "given"]
+        rc, out, _ = run(capsys, ["gates", name] + argv)
+        rc_twice, out_twice, _ = run(capsys, ["gates", str(path)] + argv)
+        assert rc == rc_twice == 0
+        assert "checks=%d\n" % m in out
+        assert out_twice == out.replace("checks=%d\n" % m, "checks=%d\n" % (m + 1), 1)
+        docs = [
+            json.loads(run(capsys, ["gates", code, "--json"] + argv)[1])
+            for code in (name, str(path))
+        ]
+        assert [doc["code"].pop("checks") for doc in docs] == [m, m + 1]
+        assert docs[0] == docs[1]
     # XXXX twice is still the [[4,2,2]] code, with the same automorphisms
-    path = tmp_path / "doubled.stab"
-    path.write_text("XXXX\nXXXX\nZZZZ\n")
-    docs, finds = [], []
-    for code in (str(path), "n4k2d2"):
-        rc, out, _ = run(capsys, ["gates", code, "--rep", rep, "--json"])
-        assert rc == 0
-        docs.append(json.loads(out))
-        target = ["--rows", "given", "--target", "H(0) H(1) SWAP(0,1)"]
-        finds.append(run(capsys, ["find-gate", code, "--rep", rep] + target)[0])
-    assert [doc["code"].pop("checks") for doc in docs] == [3, 2]
-    assert docs[0] == docs[1]
+    target = ["--rows", "given", "--target", "H(0) H(1) SWAP(0,1)"]
+    finds = [
+        run(capsys, ["find-gate", code, "--rep", rep] + target)[0]
+        for code in (str(tmp_path / "n4k2d2.stab"), "n4k2d2")
+    ]
     assert finds[0] == finds[1] == (0 if rep in ("hswap", "threeblock") else 2)
 
 
@@ -701,6 +715,17 @@ def test_codeword_cap_error_names_rows_given(capsys, argv):
     assert "error: 2**60 codewords exceed cap 65536; --rows given avoids the enumeration\n" in err
 
 
+@pytest.mark.parametrize("header", ["n=1_2", "n=+4"])
+def test_code_file_qubit_count_is_decimal_digits(tmp_path, capsys, header):
+    # int() would read "1_2" as 12 and "+4" as 4
+    path = tmp_path / "bad.stab"
+    path.write_text("# header\n%s\nXXXX\n" % header)
+    rc, out, err = run(capsys, ["analyze", str(path)])
+    assert rc == 3
+    assert out == ""
+    assert err.startswith("error: line 2: bad qubit count %r\n" % header)
+
+
 def test_bad_circuit_file_exits_3(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_text("FOO 0\n")
@@ -714,6 +739,9 @@ def test_bad_circuit_file_exits_3(tmp_path, capsys):
         ("H 0\nCNOT 1\n", "line 2: CNOT takes two distinct qubits, got (1,)"),
         ("H 0\nH 7\n", "line 2: gate H 7 out of range for 5 qubits"),
         ("# two qubits\nSWAP 3 3\n", "line 2: SWAP takes two distinct qubits, got (3, 3)"),
+        # qubit indices are decimal digits only: int() would read these
+        ("H 0\nH 1_0\n", "line 2: bad qubit index in 'H 1_0'"),
+        ("CNOT +1 0\n", "line 1: bad qubit index in 'CNOT +1 0'"),
     ],
 )
 def test_circuit_file_errors_name_their_line(tmp_path, capsys, text, message):

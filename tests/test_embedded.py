@@ -21,6 +21,7 @@ from autgates.errors import (
     ParseError,
 )
 from autgates.logsearch import LogicalActionGroup, discover_gates, parse_target
+from autgates.pauli import PhasedPauli
 from autgates.stabilizer import StabilizerCode, tableau
 
 FOUR_QUBIT = ["XXXX", "ZZZZ"]
@@ -97,21 +98,30 @@ def test_embedded_check_matrix_matches_worked_example(four_qubit):
     emb = embed(four_qubit, all_pairs(4))
     assert emb.basis == "z"
     assert emb.n == 4 and emb.m == 6
-    assert np.array_equal(emb.code.check_matrix, bits(FOUR_QUBIT_ALL_PAIRS_CHECKS))
+    assert np.array_equal(emb.check_matrix, bits(FOUR_QUBIT_ALL_PAIRS_CHECKS))
+
+
+def lifted_checks(emb):
+    """The embedded code's rows as PhasedPaulis."""
+    return [PhasedPauli.from_vector(row, ph) for ph, row in zip(emb.phases, emb.check_matrix)]
+
+
+def lifted_strings(emb):
+    return [c.to_string() for c in lifted_checks(emb)]
 
 
 def test_embedded_check_matrix_small_cases():
     # an X check copies onto an auxiliary only when it covers one member
     xx = StabilizerCode.from_strings(["XX"])
     emb = embed(xx, EmbeddingSpec(2, ((0, 1),)))
-    assert [c.to_string() for c in emb.code.checks] == ["XXI", "ZZZ"]
+    assert lifted_strings(emb) == ["XXI", "ZZZ"]
     xi = StabilizerCode.from_strings(["XI"])
     emb = embed(xi, EmbeddingSpec(2, ((0, 1),)))
-    assert [c.to_string() for c in emb.code.checks] == ["XIX", "ZZZ"]
+    assert lifted_strings(emb) == ["XIX", "ZZZ"]
     # the X-type dual copies Z checks instead and holds X parities
     zi = StabilizerCode.from_strings(["ZI"])
     emb = embed(zi, EmbeddingSpec(2, ((0, 1),)), basis="x")
-    assert [c.to_string() for c in emb.code.checks] == ["ZIZ", "XXX"]
+    assert lifted_strings(emb) == ["ZIZ", "XXX"]
 
 
 def test_embed_validates_spec_and_basis(four_qubit):
@@ -155,17 +165,35 @@ def test_embed_matches_block_formula(name, basis):
     specs = [full] + [EmbeddingSpec(code.n, (pair,)) for pair in full.pairs]
     for spec in specs:
         emb = embed(code, spec, basis=basis)
-        assert np.array_equal(emb.code.check_matrix, block_formula(code, spec, basis))
+        assert np.array_equal(emb.check_matrix, block_formula(code, spec, basis))
         # lifted checks keep their sign, parity checks are +
         want = [c.phase for c in code.checks] + [0] * spec.m
-        assert [c.phase for c in emb.code.checks] == want
+        assert emb.phases.tolist() == want
+        # embed checks neither: StabilizerCode raises on a clashing pair
+        # or an imaginary phase
+        StabilizerCode(lifted_checks(emb), n=code.n + spec.m)
     if name == "signed_y":
         emb = embed(code, EmbeddingSpec(4, ((0, 2),)), basis=basis)
         want = {
             "z": ["-YYIIX", "XXXXI", "-ZZZZI", "ZIZIZ"],
             "x": ["-YYIIZ", "XXXXI", "-ZZZZI", "XIXIX"],
         }
-        assert [c.to_string() for c in emb.code.checks] == want[basis]
+        assert lifted_strings(emb) == want[basis]
+
+
+def test_embedded_discovery_builds_no_stabilizer_code(monkeypatch):
+    code = load("n4k2d2")
+    built = []
+    init = StabilizerCode.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(StabilizerCode, "__init__", counting_init)
+    for kind in (RepKind.SSWAP, RepKind.SQRTXSWAP):
+        assert discover_embedded_gates(code, all_pairs(code.n), kind=kind).gates
+    assert built == []
 
 
 @pytest.mark.parametrize("basis", ["z", "x"])

@@ -48,8 +48,8 @@ CODES = random_codes(606, 10)
 @pytest.mark.parametrize("kind", list(RepKind), ids=lambda kind: kind.value)
 def test_given_row_automorphisms_keep_every_codeword(kind):
     for code in CODES:
-        given = matrix_automorphisms(*row_augmented_matrix(code, kind, RowSource.AS_GIVEN))
-        codewords = matrix_automorphisms(*row_augmented_matrix(code, kind, RowSource.ALL_CODEWORDS))
+        given = matrix_automorphisms(*row_augmented_matrix(code.check_matrix, kind, RowSource.AS_GIVEN))
+        codewords = matrix_automorphisms(*row_augmented_matrix(code.check_matrix, kind, RowSource.ALL_CODEWORDS))
         assert given.complete and codewords.complete
         for images in given.generators:
             assert codewords.group.contains(images)

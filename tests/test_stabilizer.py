@@ -162,6 +162,10 @@ def test_parse_code_file():
         parse_code_file("")
     with pytest.raises(ParseError):
         parse_code_file("n=0\n")
+    assert parse_code_file("n= 3 \n").n == 3
+    for bad in ["n=1_2\n", "n=+3\n", "n=-3\n", "n=3 3\n"]:
+        with pytest.raises(ParseError, match="^line 1: bad qubit count"):
+            parse_code_file(bad)
     with pytest.raises(ParseError):
         parse_code_file("XZ\nn=2\nZZ")  # header must come first
 
