@@ -12,15 +12,20 @@ and backjumps.
 The incidence is kept as padded adjacency lists, as nauty/Traces and
 saucy (Darga et al., DAC 2008) keep sparse graphs: each row lists its
 columns in ascending order, padded with n_cols, and each column its rows,
-padded with the row count.  Refinement keys a row by the cells of its
-columns, sorted, padded with the number of cells and negated.  That key
-sorts rows exactly as their per-cell 1-counts would: where two sorted
-lists first differ, earlier cells have equal counts and the list with
-the smaller cell has more ones in it, and the padding, the largest value,
-ranks a shorter list below a longer one.  Columns are keyed the same way
-by the row groups of their rows.  So the cells and their order are those
-of a refinement on dense count matrices, with keys only as wide as the
-largest row or column weight.
+padded with the row count.  Row colors are ranked on entry.  Refinement
+keys a row by (color, num_cells - cell, ...) over the sorted cells of its
+columns, padding counted as cell num_cells.  That key sorts rows exactly
+as their per-cell 1-counts would: where two sorted lists first differ,
+earlier cells have equal counts and the list with the smaller cell has
+more ones in it, and the padding, field 0, ranks a shorter list below a
+longer one.  Columns are keyed the same way, by (cell, groups - group,
+...) over the row groups of their rows, so the cells and their order are
+those of a refinement on dense count matrices.  Each field lies in
+[0, bound], bound num_cells or groups (or the top color or cell), so
+group_rows packs it in b = bound.bit_length() bits, most significant
+first, at most 63 // b fields per int64 word.  The fields are disjoint
+and the words nonnegative, so integer order is key order: one stable
+argsort groups one-word keys, a lexsort longer ones.
 
 The automorphisms found are a base and strong generating set, as in
 nauty/Traces (McKay & Piperno, J. Symb. Comput. 60, 2014), and build a
@@ -34,6 +39,7 @@ generate that prefix's pointwise stabilizer in the group found, even
 when a node budget stops the search; it is then flagged incomplete.
 """
 
+import functools
 import time
 from dataclasses import dataclass
 
@@ -56,18 +62,30 @@ class _BudgetExceeded(Exception):
     pass
 
 
-def unique_rows(a, **kwargs):
-    """np.unique(a, axis=0, **kwargs) for an int64 matrix, one packed key per row.
+def group_rows(fields, bound):
+    """(words, first, inverse) as np.unique(fields, axis=0, return_index=True,
+    return_inverse=True) gives (keys, first, inverse), for entries in [0, bound]
+    and each key packed into words (module docstring)."""
+    rows, width = fields.shape
+    bits = max(int(bound).bit_length(), 1)
+    k = max(-(-width // (63 // bits)), 1)  # words per key
+    per = -(-width // k)  # fields per word, the last word zero-padded
+    if k * per > width:
+        fields = np.hstack([fields, np.zeros((rows, k * per - width), np.int64)])
+    words = fields.reshape(rows, k, per) @ _place_values(bits, per)
+    words = words[:, 0] if k == 1 else words
+    order = np.argsort(words, kind="stable") if k == 1 else np.lexsort(words.T[::-1])
+    words = words[order]
+    new = np.ones(rows, dtype=bool)  # the first of each run of equal keys
+    new[1:] = (words[1:] != words[:-1]) if k == 1 else (words[1:] != words[:-1]).any(axis=1)
+    inverse = np.empty_like(order)
+    inverse[order] = new.cumsum() - 1
+    return words[new], order[new], inverse
 
-    With the sign bit flipped and stored big-endian, a row's bytes compare
-    like its signed entries, so keys, inverse and counts come out in the
-    same order as with axis=0, at a fraction of the cost.
-    """
-    a = np.asarray(a, dtype=np.int64)
-    packed = (a.view(np.uint64) ^ np.uint64(1 << 63)).astype(">u8", order="C")
-    keys = packed.view(np.dtype((np.void, 8 * a.shape[1]))).ravel()
-    _, first, *rest = np.unique(keys, return_index=True, **kwargs)
-    return (a[first], *rest)
+
+@functools.cache
+def _place_values(bits, per):
+    return 1 << bits * np.arange(per - 1, -1, -1, dtype=np.int64)
 
 
 def _padded_lists(major, minor, size, pad):
@@ -93,17 +111,17 @@ class _Search:
         if row_colors.shape != (matrix.shape[0],):
             raise ValueError("row_colors must have one entry per row")
 
-        # rows and columns as padded adjacency lists, each (color, row) once
+        # rows and columns as padded adjacency lists, each (color rank, row) once
         r, c = np.nonzero(matrix)
         radj = _padded_lists(r, c, matrix.shape[0], self.n_cols)
-        uniq = unique_rows(np.column_stack([row_colors, radj]))[0]
-        self.colors = uniq[:, 0]
-        self.radj = uniq[:, 1:]
+        palette, colors = np.unique(row_colors, return_inverse=True)
+        self.palette, self.top_color = palette.tobytes(), len(palette) - 1
+        self.row_set, first, _ = self._row_words(colors, radj)
+        self.colors, self.radj = colors[first], radj[first]
         r, k = np.nonzero(self.radj < self.n_cols)
         c = self.radj[r, k]
         order = np.argsort(c, kind="stable")
         self.cadj = _padded_lists(c[order], r[order], self.n_cols, len(self.radj))
-        self.row_set = self._row_keys(self.radj)
 
         self.max_nodes = max_nodes
         self.deadline = deadline
@@ -113,13 +131,12 @@ class _Search:
         # base path data, filled during the first descent
         self.base_traces = []  # refinement trace per depth
         self.base_cols = []  # individualized column per depth
-        self.base_leaf = None  # column order of the first leaf
+        self.base_leaf = None  # from the first leaf
         self.found = []  # automorphisms, a strong generating set on base_cols
         self._jump = None
 
-    def _row_keys(self, lists):
-        """Sorted (color, list) keys of the rows, lists[t] standing for row t."""
-        return unique_rows(np.column_stack([self.colors, lists]))[0]
+    def _row_words(self, colors, lists):  # group_rows of the rows' (color, columns) keys
+        return group_rows(np.column_stack([colors, lists]), max(self.top_color, self.n_cols))
 
     def _tick(self):
         self.nodes += 1
@@ -137,40 +154,42 @@ class _Search:
         automorphism and the returned trace is a node invariant safe for
         pruning.
 
-        The trace holds one hash() per step of its row and column keys,
-        which would be megabytes per base-path depth on large codes.  It is
-        compared only within one run: unequal hashes mean unequal keys, so
-        pruning stays sound, and a collision only keeps a node whose
-        leaves are still checked.
+        The trace holds the color palette, so that the ranks stand for the
+        colors, then per step one hash() of the cell and group counts, which
+        fix the packing, and of the packed row and column keys, which would
+        be megabytes per base-path depth on large codes.  Unequal hashes mean
+        unequal keys, so pruning stays sound, and a collision only keeps a
+        node whose leaves are still checked.
         """
         n = self.n_cols
-        trace = []
+        trace = [self.palette]
         num_cells = int(cell_id.max()) + 1 if n else 0
         while True:
             # group rows by color and sorted cells of their columns
             cells = np.sort(np.append(cell_id, num_cells)[self.radj], axis=1)
-            row_meta = np.column_stack([self.colors, -cells])
-            row_keys, row_group = unique_rows(row_meta, return_inverse=True)
+            row_key = np.column_stack([self.colors, num_cells - cells])
+            row_words, _, row_group = group_rows(row_key, max(self.top_color, num_cells))
             # column signatures: sorted row groups of their rows, within each cell
-            groups = np.sort(np.append(row_group, row_keys.shape[0])[self.cadj], axis=1)
-            col_meta = np.column_stack([cell_id, -groups])
-            col_keys, new_cell_id = unique_rows(col_meta, return_inverse=True)
-            trace.append(hash((row_keys.shape, row_keys.tobytes(), col_keys.tobytes())))
-            new_num = col_keys.shape[0]
+            groups = len(row_words)
+            rgs = np.sort(np.append(row_group, groups)[self.cadj], axis=1)
+            col_key = np.column_stack([cell_id, groups - rgs])
+            col_words, _, new_cell_id = group_rows(col_key, max(num_cells - 1, groups))
+            trace.append(hash((num_cells, groups, row_words.tobytes(), col_words.tobytes())))
+            new_num = len(col_words)
             if new_num == num_cells:
                 break
-            cell_id = new_cell_id.astype(np.int64)
+            cell_id = new_cell_id
             num_cells = new_num
             if num_cells == n:
                 break
         return cell_id, num_cells, tuple(trace)
 
     def _individualize(self, cell_id, column):
-        """Split the column off as a new cell, first within its old cell."""
-        key = 2 * cell_id + 1
-        key[column] -= 1
-        _, new_id = np.unique(key, return_inverse=True)
-        return new_id.astype(np.int64)
+        """Split the column off its cell, which holds others, as the first of the two."""
+        c = cell_id[column]
+        new_id = cell_id + (cell_id >= c)
+        new_id[column] = c
+        return new_id
 
     def _orbit_hits(self, column, explored):
         """Do the automorphisms found move the column into the explored set?"""
@@ -200,7 +219,7 @@ class _Search:
         """Row set must be preserved color-by-color."""
         images = np.append(np.asarray(images, dtype=np.int64), self.n_cols)
         mapped = np.sort(images[self.radj], axis=1)
-        return np.array_equal(self._row_keys(mapped), self.row_set)
+        return np.array_equal(self._row_words(self.colors, mapped)[0], self.row_set)
 
     def _explore(self, cell_id, depth, on_base, div_depth):
         self._tick()
@@ -214,14 +233,11 @@ class _Search:
         candidates = self._target_cell(cell_id, num_cells)
         if candidates is None:
             self.leaves += 1
-            cols = np.argsort(cell_id, kind="stable").tolist()
+            cols = np.argsort(cell_id, kind="stable")
             if self.base_leaf is None:
-                self.base_leaf = cols
+                self.base_leaf = np.argsort(cols)  # each column's place in it
                 return
-            images = [0] * self.n_cols
-            for src, dst in zip(self.base_leaf, cols):
-                images[src] = dst
-            images = tuple(images)
+            images = tuple(cols[self.base_leaf].tolist())
             if self._check_automorphism(images):
                 self.found.append(images)
                 self._jump = div_depth
@@ -239,9 +255,7 @@ class _Search:
                 explored.add(v)
                 continue
             child_div = depth if on_base and not child_on_base else div_depth
-            self._explore(
-                self._individualize(cell_id, v), depth + 1, child_on_base, child_div
-            )
+            self._explore(self._individualize(cell_id, v), depth + 1, child_on_base, child_div)
             explored.add(v)
             if self._jump is not None:
                 if self._jump == depth and on_base:

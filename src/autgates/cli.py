@@ -93,7 +93,7 @@ def _deadline(args) -> float:
 
 
 def _bits(row) -> str:
-    return "".join(str(int(b)) for b in row)
+    return (row + ord("0")).astype("u1").tobytes().decode()  # one call per row
 
 
 def _split_row(row, n: int) -> str:
@@ -255,7 +255,7 @@ def cmd_find_gate(args) -> tuple[int, str]:
     complete = disc.search.complete
     if args.embed is not None:
         for kind in (RepKind.SSWAP, RepKind.SQRTXSWAP):
-            emb_disc = discover_embedded_gates(code, spec, kind=kind, deadline=deadline)
+            emb_disc = discover_embedded_gates(code, spec, kind=kind, deadline=deadline, t=t)
             complete = complete and emb_disc.search.complete
             for gate in emb_disc.gates:
                 if args.max_2q is not None and gate.circuit.two_qubit_count() > args.max_2q:

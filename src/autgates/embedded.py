@@ -308,6 +308,7 @@ def discover_embedded_gates(
     spec: EmbeddingSpec,
     kind: RepKind = RepKind.SSWAP,
     deadline: float | None = None,
+    t: Tableau | None = None,
 ) -> EmbeddedDiscovery:
     """Automorphism discovery on the embedded code, mapped back and verified.
 
@@ -317,13 +318,13 @@ def discover_embedded_gates(
     has none) is probed for membership in the automorphism group; these
     probes are what produce pair rotations with a single two-qubit gate.
     Uninterpretable or semantically unsound generators land in rejected
-    with a reason.
+    with a reason.  t is the code's tableau, built here unless given.
     """
     basis = "x" if kind is RepKind.SQRTXSWAP else "z"
     emb = embed(code, spec, basis=basis)
     mat, colors = row_augmented_matrix(emb.check_matrix, kind)
     search = matrix_automorphisms(mat, colors, deadline=deadline)
-    t = tableau(code)
+    t = tableau(code) if t is None else t
     candidates = list(search.generators)
     known = set(candidates)
     n_total = emb.n + emb.m

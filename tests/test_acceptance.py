@@ -294,6 +294,25 @@ def test_10_bicycle_code_automorphisms():
         assert hashlib.sha256(repr(words).encode()).hexdigest() == digest
 
 
+BB72_GATES_SHA256 = {
+    "hswap": "cde8080cca83334be77031bb6ee73474bc670ec95e6bbbe7c8629f4c743f9c68",
+    "threeblock": "d182a61f76f754e3cd15294f6f935b7e2de86a08d618f95f85f44d744610c230",
+}
+
+
+def test_10_bicycle_code_gates(capsys):
+    """gates --json on bb72, stdout pinned by sha256: base path, nodes, circuits."""
+    start = time.perf_counter()
+    for rep, nodes in (("hswap", 19), ("threeblock", 19)):
+        rc = main(["gates", "bb72", "--rep", rep, "--json"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        doc = json.loads(out)
+        assert doc["search"] == {"complete": True, "nodes": nodes, "order": 864}
+        assert hashlib.sha256(out.encode()).hexdigest() == BB72_GATES_SHA256[rep]
+    assert time.perf_counter() - start < 3.0
+
+
 GROSS_GATES_SHA256 = {
     "hswap": "792ccf903ba2cde88cef5413a7fbb1e08fe08d25a48ad073dd9416531576ed29",
     "threeblock": "864386bb1b600aa2d0b378a591122db83fd783f25919b52c62ee130a131dae13",

@@ -7,7 +7,7 @@ from math import factorial
 import numpy as np
 import pytest
 
-from autgates.autsearch import _Search, matrix_automorphisms, unique_rows
+from autgates.autsearch import _Search, group_rows, matrix_automorphisms
 from autgates.binrep import RepKind, RowSource, row_augmented_matrix
 from autgates.codes import bivariate_bicycle, load
 from autgates.permgroup import PermElement
@@ -159,22 +159,79 @@ def test_node_budget_reports_incomplete():
     assert res.nodes <= 3
 
 
-def test_unique_rows_matches_numpy_axis0():
+def test_group_rows_matches_numpy_axis0():
     rng = np.random.default_rng(17)
-    lo, hi = np.iinfo(np.int64).min, np.iinfo(np.int64).max
-    cases = [np.zeros((0, 3), dtype=np.int64), np.array([[lo], [hi], [0], [-1], [lo]])]
+    hi = np.iinfo(np.int64).max
+    cases = [
+        (np.zeros((0, 3), np.int64), 0),  # no rows
+        (np.zeros((0, 0), np.int64), 5),
+        (np.zeros((4, 0), np.int64), 5),  # no columns: one group
+        (np.array([[hi], [0], [hi - 1], [1], [hi]]), hi),  # 63 bits, one field a word
+    ]
+    # the old signed cases, shifted into [0, 2 span]
     for rows, cols, span in [(1, 1, 3), (40, 1, 5), (60, 3, 3), (200, 7, 2), (50, 4, 1000)]:
-        cases.append(rng.integers(-span, span + 1, (rows, cols)))
-    edges = rng.choice([lo, lo + 1, -1, 0, 1, hi - 1, hi], (80, 3))
-    cases += [edges, np.vstack([edges, edges[::-1]])]
-    for a in cases:
-        want = np.unique(a, axis=0, return_inverse=True, return_counts=True)
-        got = unique_rows(a, return_inverse=True, return_counts=True)
-        assert len(got) == 3
-        for w, g in zip(want, got):
-            assert g.shape == w.shape and np.array_equal(g, w)
-        keys, counts = unique_rows(a, return_counts=True)
-        assert np.array_equal(keys, want[0]) and np.array_equal(counts, want[2])
+        cases.append((rng.integers(0, 2 * span + 1, (rows, cols)), 2 * span))
+    edges = rng.choice([0, 1, hi - 1, hi], (80, 3))
+    cases += [(edges, hi), (np.vstack([edges, edges[::-1]]), hi)]
+    # bit widths 1 and 62, with field counts that fill one word, then one more
+    for bits in (1, 2, 3, 13, 62):
+        per = 63 // bits
+        for cols in (per - 1, per, per + 1, 2 * per, 2 * per + 1):
+            for top in (1, 2 ** (bits - 1), 2**bits - 1):
+                a = rng.integers(0, 2, (50, max(cols, 1))) * rng.integers(0, top + 1, (50, 1))
+                cases.append((a[rng.integers(0, 50, 70)], 2**bits - 1))
+    # wide rows, as in the all-pairs embeddings: mostly padding, few distinct
+    for cols in (400, 403, 1000):
+        a = np.where(rng.random((30, cols)) < 0.02, rng.integers(0, 5000, (30, cols)), 0)
+        cases.append((np.vstack([a, a[::3]]), 5000))
+    for a, bound in cases:
+        a = np.asarray(a, dtype=np.int64)
+        assert a.size == 0 or a.max() <= bound
+        keys, first, inverse = np.unique(a, axis=0, return_index=True, return_inverse=True)
+        for b in (bound, 37 * bound + 5 if bound < 2**57 else bound):
+            words, got_first, got_inverse = group_rows(a, b)
+            assert len(words) == len(keys)
+            assert np.array_equal(a[got_first], keys)
+            assert np.array_equal(got_first, first)
+            assert np.array_equal(got_inverse, inverse.ravel())
+            assert len(np.unique(words, axis=0)) == len(words)
+
+
+def test_colors_are_ranked_on_entry():
+    """Extreme int64 colors give the search its ranks' result."""
+    lo, hi = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+    rng = np.random.default_rng(41)
+    palettes = [[lo, hi, -1, 0, 10**12], [hi, lo], [-5, 3], [lo]]
+    for trial in range(40):
+        n = int(rng.integers(1, 7))
+        m = int(rng.integers(0, 9))
+        mat = (rng.random((m, n)) < 0.4).astype(np.uint8)
+        if m and trial % 2:
+            mat = mat[rng.integers(0, m, m)]  # repeated rows
+        palette = np.array(palettes[trial % len(palettes)], dtype=np.int64)
+        colors = palette[rng.integers(0, len(palette), m)]
+        ranks = np.searchsorted(np.unique(colors), colors)
+        got = matrix_automorphisms(mat, colors)
+        want = matrix_automorphisms(mat, ranks)
+        assert (got.generators, got.nodes, got.leaves) == (want.generators, want.nodes, want.leaves)
+        assert got.complete and got.group.order() == want.group.order()
+        assert got.group.order() == len(brute_force_automorphisms(mat, colors))
+
+
+def test_individualize_matches_unique_formula():
+    """Arithmetic individualization equals ranking the keys 2 cell + 1, column's key - 1."""
+    rng = np.random.default_rng(43)
+    search = _Search(np.zeros((0, 0), np.uint8), None, None, None)
+    for _ in range(300):
+        n = int(rng.integers(2, 40))
+        cell_id = np.unique(rng.integers(0, rng.integers(1, n), n), return_inverse=True)[1]
+        sizes = np.bincount(cell_id)
+        column = int(rng.choice(np.flatnonzero(sizes[cell_id] > 1)))
+        key = 2 * cell_id + 1
+        key[column] -= 1
+        want = np.unique(key, return_inverse=True)[1].ravel()
+        got = search._individualize(cell_id.astype(np.int64), column)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
 
 
 def refine_cases(rng, count):
