@@ -12,7 +12,7 @@ of circdecomp's layered form take their symplectics from it too.
 Propagation (Aaronson & Gottesman, Phys. Rev. A 70, 052328, 2004) takes one
 numpy step per layer, not per gate.  A gate whose table images only
 exchange its two qubits (SWAP) relabels the rows and moves no data, and a
-run of one one-qubit gate on distinct qubits is one gather.
+run of one gate on pairwise disjoint qubits is one gather per qubit slot.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import LengthMismatchError, ParseError
 from .pauli import PhasedPauli, row_products
 
 
@@ -67,8 +67,8 @@ _RELABELS = frozenset(name for name, g in GATES.items() if g.images == ("IX", "X
 
 
 @cache
-def _lookup(name: str) -> tuple[np.ndarray, np.ndarray]:
-    """Phase increments and output codes of a gate on its 4^m local inputs.
+def _lookup(name: str) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """Phase increments and per-qubit output codes of a gate on its 4^m local inputs.
 
     A qubit holding X^x Z^z has code x + 2z.  The local input with codes
     c_0 (and c_1) has index c_0 (+ 4 c_1); its image is the product of the
@@ -78,7 +78,7 @@ def _lookup(name: str) -> tuple[np.ndarray, np.ndarray]:
     m = len(images) // 2
     coeffs = [[idx >> (2 * (j % m) + j // m) & 1 for j in range(2 * m)] for idx in range(4**m)]
     inc, out = row_products([p.phase for p in images], [p.vector() for p in images], coeffs)
-    return inc, (out[:, :m] + 2 * out[:, m:]).T
+    return inc, tuple((out[:, :m] + 2 * out[:, m:]).T)
 
 
 @dataclass(frozen=True)
@@ -123,12 +123,16 @@ class CliffordCircuit:
 
         Returns new (phases mod 4, rows) holding U p Udag for each input p.
         The rows are held qubit-major as codes x + 2z and `where` maps each
-        qubit to its row: a SWAP (_RELABELS) swaps two entries of `where`, and
-        a run of one gate on distinct qubits is one gather of their rows.
+        qubit to its row: a SWAP (_RELABELS) swaps two entries of `where`,
+        and a run of one gate on pairwise disjoint qubits, of any arity, is
+        one gather per qubit slot j, which adds code << 2j to the gates' local
+        index.  Rows must be 2n wide, one per phase (LengthMismatchError).
         """
         n, gates = self.n, self.gates
         rows = np.asarray(rows, dtype=np.uint8)
         phases = np.array(phases, dtype=np.int64)
+        if rows.shape != (len(phases), 2 * n):
+            raise LengthMismatchError(f"{len(phases)} phases, rows {rows.shape}, on {n} qubits")
         code = (rows[:, :n] + 2 * rows[:, n:]).T.copy()
         where = list(range(n))
         i = 0
@@ -138,21 +142,19 @@ class CliffordCircuit:
             if name in _RELABELS:
                 where[qs[0]], where[qs[1]] = where[qs[1]], where[qs[0]]
                 continue
-            inc, outs = _lookup(name)
-            if len(qs) == 2:
-                rs = [where[qs[0]], where[qs[1]]]
-                idx = code[rs[0]] + 4 * code[rs[1]]
-                phases += inc[idx]
-                code[rs] = outs[:, idx]
-                continue
-            run = {qs[0]: None}  # a run ends at its first repeated qubit
-            while i < len(gates) and gates[i].name == name and gates[i].qubits[0] not in run:
-                run[gates[i].qubits[0]] = None
+            run, used = list(qs), set(qs)  # a run ends at its first shared qubit
+            while i < len(gates) and gates[i].name == name and used.isdisjoint(gates[i].qubits):
+                run += gates[i].qubits
+                used.update(gates[i].qubits)
                 i += 1
-            rs = [where[q] for q in run]
-            idx = code[rs]
-            phases += inc[idx].sum(axis=0)
-            code[rs] = outs[0][idx]
+            m, rs = len(qs), [where[q] for q in run]  # slot j's rows: rs[j::m]
+            idx = code.take(rs[::m], axis=0).astype(np.intp)  # take on intp: faster than []
+            for j in range(1, m):
+                idx += code.take(rs[j::m], axis=0) << 2 * j
+            inc, outs = _lookup(name)
+            phases += inc.take(idx).sum(axis=0)
+            for j, out in enumerate(outs):
+                code[rs[j::m]] = out.take(idx)
         code = code[where].T
         return phases % 4, np.hstack([code & 1, code >> 1])
 

@@ -22,7 +22,8 @@ members onto each Z-type auxiliary (from each X-type auxiliary onto its
 members): the checks, padded with the identity on the auxiliaries, and
 one Z (X) on each auxiliary go through it in one batch, so lifted checks
 keep their signs and parity checks are +.  The circuit is its own
-inverse: its CNOTs commute, since none targets a qubit another controls.
+inverse: its CNOTs commute, since none targets a qubit another controls,
+so they are listed in layers of disjoint qubits, one propagation run each.
 
 The lifted rows need no commutation check: they commute before the lift
 (each parity Pauli sits where the padded checks act as the identity), the
@@ -107,7 +108,8 @@ class EmbeddedCode:
     """An enlarged code with one parity auxiliary per pair, as its rows.
 
     lift, the embedding circuit, has for pair (a, b) the CNOTs a->aux,
-    b->aux, or aux->a, aux->b for an X-type aux.  phases and check_matrix
+    b->aux, or aux->a, aux->b for an X-type aux, listed by layer of
+    disjoint qubits, not pair by pair.  phases and check_matrix
     are its images of base's padded checks, then of the parity Paulis:
     Clifford images of commuting Hermitian rows under CNOTs, which add no
     phase, so they need no check of their own.
@@ -145,8 +147,12 @@ def embed(code: StabilizerCode, spec: EmbeddingSpec, basis: str = "z") -> Embedd
     if basis not in ("z", "x"):
         raise DimensionError("basis must be 'z' or 'x'")
     n, m = code.n, spec.m
-    cnots = [(q, n + j) for j, pair in enumerate(spec.pairs) for q in pair]
-    gates = (Gate("CNOT", c if basis == "z" else c[::-1]) for c in cnots)
+    depth, cnots = [0] * (n + m), []  # each qubit's last layer; a CNOT goes one past both
+    for j, pair in enumerate(spec.pairs):
+        for q in pair:
+            depth[q] = depth[n + j] = max(depth[q], depth[n + j]) + 1
+            cnots.append((depth[q], q, n + j))
+    gates = (Gate("CNOT", (q, a) if basis == "z" else (a, q)) for _, q, a in sorted(cnots))
     lift = CliffordCircuit(n + m, tuple(gates))
     parity = np.eye(m, 2 * (n + m), n + (n + m if basis == "z" else 0), dtype=np.uint8)
     rows = np.vstack([_pad(code.check_matrix, n, m), parity])

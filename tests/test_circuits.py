@@ -15,7 +15,7 @@ from autgates.circuits import (
     circuit_to_qasm,
     pauli_to_gates,
 )
-from autgates.errors import ParseError
+from autgates.errors import LengthMismatchError, ParseError
 from autgates.gf2 import is_symplectic, mat2
 from autgates.pauli import PhasedPauli
 
@@ -306,3 +306,59 @@ def test_one_qubit_run_stops_at_a_repeated_qubit():
     circ = circuit_from_text("S 0\nS 1\nS 0\nS 1\n")
     assert circ.conjugate(PhasedPauli.from_string("XX")) == PhasedPauli.from_string("XX")
     assert circ.conjugate(PhasedPauli.from_string("XZ")) == PhasedPauli.from_string("-XZ")
+
+
+def run_shaped_circuit(rng, n):
+    """Seeded runs of every gate, in the shapes propagate batches.
+
+    Each two-qubit gate gets a run on disjoint pairs, each pair in a random
+    order, and the run is ended by a gate of the same name that shares one
+    of its qubits (in either slot) or by a gate of another name.  One-qubit
+    runs and SWAP chains, which permute `where`, sit between them.
+    """
+    gates = []
+    for name in rng.permutation(TWO_QUBIT_GATES):
+        perm = [int(q) for q in rng.permutation(n)]
+        pairs = [tuple(perm[i : i + 2][:: rng.choice([1, -1])]) for i in range(0, n - 1, 2)]
+        pairs = pairs[: rng.integers(1, len(pairs) + 1)]
+        gates += [Gate(str(name), pair) for pair in pairs]
+        if rng.integers(2):  # ended by a shared qubit: any qubit of the run, either slot
+            shared = int(rng.choice([q for pair in pairs for q in pair]))
+            other = int(rng.choice([q for q in range(n) if q != shared]))
+            gates.append(Gate(str(name), (shared, other)[:: rng.choice([1, -1])]))
+        name_1q = str(rng.choice(ALL_GATES_1Q))
+        gates += [Gate(name_1q, (int(q),)) for q in rng.permutation(n)[: rng.integers(1, n + 1)]]
+        cycle = rng.permutation(n)[: rng.integers(2, n + 1)]
+        gates += [Gate("SWAP", (int(cycle[0]), int(q))) for q in cycle[1:]]
+    return CliffordCircuit(n, tuple(gates))
+
+
+def test_batched_runs_match_one_gate_at_a_time():
+    rng = np.random.default_rng(53)
+    for trial in range(20):
+        n = int(rng.integers(2, 9)) if trial % 2 else int(rng.integers(2, 5))
+        circ = run_shaped_circuit(rng, n)
+        phases, rows = random_batch(rng, n, 8)
+        got_phases, got_rows = circ.propagate(phases, rows)
+        want_phases, want_rows = phases, rows
+        for g in circ.gates:
+            want_phases, want_rows = CliffordCircuit(n, (g,)).propagate(want_phases, want_rows)
+        assert np.array_equal(got_phases, want_phases)
+        assert np.array_equal(got_rows, want_rows)
+        if n <= 4:
+            for i in rng.choice(len(rows), 2, replace=False):
+                got = PhasedPauli.from_vector(got_rows[i], got_phases[i])
+                assert dense_conjugate(circ, PhasedPauli.from_vector(rows[i], phases[i])) == got
+
+
+def test_propagate_rejects_rows_of_the_wrong_width():
+    # rows n + 1 wide used to broadcast into a non-Hermitian answer
+    with pytest.raises(LengthMismatchError):
+        CliffordCircuit(3, (Gate("H", (0,)),)).conjugate(PhasedPauli.from_string("XZ"))
+    circ = CliffordCircuit(2, (Gate("CNOT", (0, 1)),))
+    with pytest.raises(LengthMismatchError):  # too wide to broadcast
+        circ.propagate([0], np.zeros((1, 6), dtype=np.uint8))
+    with pytest.raises(LengthMismatchError):  # one phase for two rows
+        circ.propagate([0], np.zeros((2, 4), dtype=np.uint8))
+    with pytest.raises(LengthMismatchError):
+        circ.propagate([0], np.zeros(4, dtype=np.uint8))

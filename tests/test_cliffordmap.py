@@ -189,6 +189,9 @@ def test_unstructured_and_malformed_permutations():
     assert short.n == 1
     with pytest.raises(LengthMismatchError):
         pauli_correct_and_action(tableau(StabilizerCode.from_strings(["XX", "ZZ"])), short)
+    # the independent check refuses a circuit on the wrong qubit count too
+    with pytest.raises(LengthMismatchError):
+        verify_preserves_stabilizers(tableau(load("n4k2d2")), CliffordCircuit(7, ()))
 
 
 def duality_circuit():

@@ -196,13 +196,25 @@ def test_embedded_discovery_builds_no_stabilizer_code(monkeypatch):
     assert built == []
 
 
+def disjoint_runs(circ):
+    """Maximal blocks of one gate name on pairwise disjoint qubits."""
+    runs, used, name = 0, set(), None
+    for g in circ.gates:
+        if g.name != name or not used.isdisjoint(g.qubits):
+            runs, used, name = runs + 1, set(), g.name
+        used.update(g.qubits)
+    return runs
+
+
 @pytest.mark.parametrize("basis", ["z", "x"])
 @pytest.mark.parametrize("name", ["n4k2d2", "n5k1d3", "steane"])
 def test_lift_is_its_own_inverse(name, basis):
     code = StabilizerCode.from_strings(PIN_CODES[name])
+    n = code.n
     rng = np.random.default_rng(7)
-    for spec in [all_pairs(code.n), parse_pairs_file("0 1\n1 3\n# skip 0 2\n3 2\n", code.n)]:
-        lift = embed(code, spec, basis=basis).lift
+    for spec in [all_pairs(n), parse_pairs_file("0 1\n1 3\n# skip 0 2\n3 2\n", n)]:
+        emb = embed(code, spec, basis=basis)
+        lift, m = emb.lift, spec.m
         twice = lift + lift
         width = 2 * twice.n
         assert np.array_equal(twice.symplectic(), np.eye(width, dtype=np.uint8))
@@ -214,6 +226,23 @@ def test_lift_is_its_own_inverse(name, basis):
         got_phases, got = twice.propagate(phases, rows)
         assert np.array_equal(got, rows)
         assert np.array_equal(got_phases, phases)
+        # the layered lift is the pair-by-pair lift, reordered
+        pairwise = CliffordCircuit(n + m, tuple(
+            Gate("CNOT", (q, n + j) if basis == "z" else (n + j, q))
+            for j, pair in enumerate(spec.pairs) for q in pair
+        ))
+        assert sorted(lift.gates, key=str) == sorted(pairwise.gates, key=str)
+        # the padded checks and the parity Paulis, pushed pair by pair
+        padded = np.zeros((len(code.checks) + m, 2 * (n + m)), dtype=np.uint8)
+        padded[: len(code.checks), :n] = code.check_matrix[:, :n]
+        padded[: len(code.checks), n + m : 2 * n + m] = code.check_matrix[:, n:]
+        parity_col = n + (n + m if basis == "z" else 0)
+        padded[len(code.checks) + np.arange(m), parity_col + np.arange(m)] = 1
+        want_phases, want = pairwise.propagate([c.phase for c in code.checks] + [0] * m, padded)
+        assert np.array_equal(emb.phases, want_phases)
+        assert np.array_equal(emb.check_matrix, want)
+        if spec == all_pairs(n):
+            assert disjoint_runs(lift) <= 2 * (n - 1)
 
 
 def test_soundness_check_builds_no_inverse_circuit(monkeypatch):
